@@ -30,6 +30,10 @@ class _UsageError(Exception):
     pass
 
 
+class _VerificationError(Exception):
+    pass
+
+
 def _budget(args) -> Budget:
     kwargs = {}
     if getattr(args, "max_closure", None) is not None:
@@ -74,6 +78,16 @@ def _model_payload(model, world) -> dict:
     return {"model": kripke.model_to_dict(model), "world": world}
 
 
+def _check_countermodel(model, world, f) -> None:
+    """Reload the countermodel from its JSON form and re-check that it
+    refutes f before it is reported."""
+    reloaded = kripke.model_from_dict(kripke.model_to_dict(model))
+    if kripke.satisfies(reloaded, world, f):
+        raise _VerificationError(
+            f"countermodel failed its JSON round-trip check at world {world}"
+        )
+
+
 def cmd_parse(args) -> int:
     f = _formula(args.formula)
     _emit(args, {"formula": pretty(f)}, [pretty(f)])
@@ -88,9 +102,7 @@ def cmd_check(args) -> int:
         _emit(args, {"verdict": "valid"}, ["Valid"])
         return EXIT_OK
     if isinstance(verdict, Invalid):
-        # round-trip the countermodel before reporting it
-        reloaded = kripke.model_from_dict(kripke.model_to_dict(verdict.model))
-        assert not kripke.satisfies(reloaded, verdict.world, f)
+        _check_countermodel(verdict.model, verdict.world, f)
         path = _maybe_write_model(args, verdict.model)
         lines = [f"Invalid at world {verdict.world}"]
         if path:
@@ -113,8 +125,7 @@ def cmd_countermodel(args) -> int:
               [f"no countermodel with at most {bound} worlds"])
         return EXIT_NEGATIVE
     model, world = found
-    reloaded = kripke.model_from_dict(kripke.model_to_dict(model))
-    assert not kripke.satisfies(reloaded, world, f)
+    _check_countermodel(model, world, f)
     path = _maybe_write_model(args, model)
     lines = [f"countermodel with {len(model.worlds)} worlds refutes at {world}"]
     if path:
@@ -370,6 +381,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _VerificationError as exc:
+        _emit(args, {"error": str(exc)}, [f"error: {exc}"])
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

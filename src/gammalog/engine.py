@@ -15,7 +15,10 @@ method that is sound for the whole frame class:
    whether the target frame itself lies in the class: a p-morphic image of
    a generated subframe of a class frame inherits the cluster bounds and
    confluence, and conversely the identity map realizes any class frame.
-2. Base-logic type elimination over the subformula closure. Unsatisfiable
+2. Base-logic type elimination over the subformula closure. ``base_models``
+   is the one elimination core, for ``sat`` and for the Smorynski
+   construction alike: S4 is the case with no fixed top cluster, and S4.2
+   fixes one final cluster per viable top box signature. Unsatisfiable
    results transfer soundly to every extension; satisfiable results are
    final for the (w,w) logics and otherwise feed a cluster-refinement
    attempt whose output is re-verified against the frame class.
@@ -232,8 +235,6 @@ class Invalid:
 @dataclass(frozen=True)
 class Interpolant:
     formula: Formula
-    checked_left: bool = True
-    checked_right: bool = True
 
 
 @dataclass(frozen=True)
@@ -354,9 +355,6 @@ class TypeSpace:
     def sig(self, assignment: int) -> int:
         return assignment & self.box_mask
 
-    def box_core_mask(self, j: int) -> int:
-        return self.mask(self.letters[j].sub)
-
 
 def _bits(mask: int) -> list[int]:
     out = []
@@ -367,25 +365,22 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _eliminate(
-    space: TypeSpace,
-    candidates: Sequence[int],
-    top_witness: Optional[dict[int, bool]] = None,
-) -> list[int]:
-    """Greatest set of types whose missing boxes all have witnesses.
+def _eliminate(space: TypeSpace, b: int) -> list[int]:
+    """Greatest set of coherent types with box signature inside b whose
+    missing boxes in b all have witnesses.
 
-    A type i lacking box-letter j needs a surviving j-witness with a
-    superset box signature, or (for the confluent construction) a witness
-    in the fixed top cluster as recorded in ``top_witness``.
+    A type i lacking box-letter j of b needs a surviving type that refutes
+    j's core and whose box signature contains i's. Box letters outside b
+    carry no obligation: in the confluent construction the final cluster of
+    signature b refutes their cores above every world.
     """
-    alive = sorted(candidates)
-    obligations = {
-        i: [j for j in space.box_positions if not i >> j & 1] for i in alive
-    }
-    core_bits = {j: space.bits(space.letters[j].sub) for j in space.box_positions}
+    alive = [i for i in space.coherent if space.sig(i) | b == b]
+    positions = [j for j in space.box_positions if b >> j & 1]
+    obligations = {i: [j for j in positions if not i >> j & 1] for i in alive}
+    core_bits = {j: space.bits(space.letters[j].sub) for j in positions}
     while True:
         witness_sigs: dict[int, set[int]] = {}
-        for j in space.box_positions:
+        for j in positions:
             view = core_bits[j]
             witness_sigs[j] = {
                 space.sig(i) for i in alive if not view[i >> 3] >> (i & 7) & 1
@@ -396,8 +391,6 @@ def _eliminate(
             sig_i = space.sig(i)
             ok = True
             for j in obligations[i]:
-                if top_witness is not None and top_witness.get(j, False):
-                    continue
                 key = (sig_i, j)
                 hit = answered.get(key)
                 if hit is None:
@@ -413,6 +406,34 @@ def _eliminate(
         alive = kept
 
 
+def base_models(
+    space: TypeSpace, confluent: bool
+) -> Iterator[tuple[list[int], list[int]]]:
+    """The base-logic canonical models over a type space, as (survivors, top).
+
+    This is the one elimination core behind ``sat`` and the Smorynski
+    construction. Survivors are sorted type assignments. For S4
+    (``confluent`` false) there is one model and no fixed top. Every finite
+    confluent model has a single final cluster seen from everywhere, so for
+    S4.2 there is one model for each viable top box signature b, in
+    ascending order: its top holds every coherent type of signature b (the
+    largest possible final cluster, which dominates every smaller choice),
+    and it is viable when the top refutes the core of every box letter
+    outside b. A top type has no obligation inside b, so top is always a
+    subset of the survivors.
+    """
+    if not confluent:
+        yield _eliminate(space, space.box_mask), []
+        return
+    for b in sorted({space.sig(i) for i in space.coherent}):
+        top = [i for i in space.coherent if space.sig(i) == b]
+        if all(
+            any(not space.holds(space.letters[j].sub, i) for i in top)
+            for j in space.box_positions if not b >> j & 1
+        ):
+            yield _eliminate(space, b), top
+
+
 def _types_to_model(
     space: TypeSpace,
     survivors: Sequence[int],
@@ -421,7 +442,7 @@ def _types_to_model(
     """Build the canonical model over surviving types.
 
     ``top`` lists types forming an explicit final cluster that every world
-    sees (the confluent construction); it may repeat survivor types.
+    sees (the confluent construction); it repeats survivor types.
     """
     names = {i: f"t{idx:06d}" for idx, i in enumerate(sorted(survivors))}
     top_names = [f"u{idx:06d}" for idx, _ in enumerate(top)]
@@ -445,73 +466,18 @@ def _types_to_model(
     return PreorderModel(worlds, order, valuation)
 
 
-def _s4_decide(space: TypeSpace, goal: Formula) -> tuple[bool, Optional[tuple[PreorderModel, str]]]:
-    survivors = _eliminate(space, space.coherent)
-    hits = [i for i in survivors if space.holds(goal, i)]
-    if not hits:
-        return False, None
-    model = _types_to_model(space, survivors)
-    world = f"t{sorted(survivors).index(hits[0]):06d}"
-    return True, (generated_submodel(model, world), world)
-
-
-def _s42_decide(space: TypeSpace, goal: Formula) -> tuple[bool, Optional[tuple[PreorderModel, str]]]:
-    """Satisfiability over finite confluent preorders.
-
-    Every finite confluent model has a single final cluster seen from
-    everywhere, so we enumerate candidate top box-signatures b, take all
-    coherent types with signature b that satisfy the cores of b (the
-    largest possible top cluster, which dominates every smaller choice),
-    and eliminate the types lying below it.
-    """
-    sigs = sorted({space.sig(i) for i in space.coherent})
-    for b in sigs:
-        outcome = _top_cluster_candidates(space, b)
-        if outcome is None:
-            continue
-        top, top_witness = outcome
-        compatibles = [
-            i for i in space.coherent if space.sig(i) | b == b
-        ]
-        survivors = _eliminate(space, compatibles, top_witness)
-        hit_world = None
-        sorted_survivors = sorted(survivors)
-        for idx, i in enumerate(sorted_survivors):
+def _base_witness(
+    space: TypeSpace, goal: Formula, confluent: bool
+) -> Optional[tuple[PreorderModel, str]]:
+    """The generated base-logic model at the first surviving type that
+    satisfies goal, or None when the goal is base-logic unsatisfiable."""
+    for survivors, top in base_models(space, confluent):
+        for idx, i in enumerate(survivors):
             if space.holds(goal, i):
-                hit_world = f"t{idx:06d}"
-                break
-        if hit_world is None:
-            for idx, i in enumerate(top):
-                if space.holds(goal, i):
-                    hit_world = f"u{idx:06d}"
-                    break
-        if hit_world is not None:
-            model = _types_to_model(space, survivors, top)
-            return True, (generated_submodel(model, hit_world), hit_world)
-    return False, None
-
-
-def _top_cluster_candidates(
-    space: TypeSpace, b: int
-) -> Optional[tuple[list[int], dict[int, bool]]]:
-    """The largest candidate final cluster with box signature b, with its
-    per-obligation witness record; None if it cannot be a final cluster."""
-    top = [
-        i for i in space.coherent
-        if space.sig(i) == b
-        and all(space.holds(space.letters[j].sub, i)
-                for j in space.box_positions if b >> j & 1)
-    ]
-    if not top:
-        return None
-    top_witness = {}
-    for j in space.box_positions:
-        if b >> j & 1:
-            continue
-        top_witness[j] = any(not space.holds(space.letters[j].sub, i) for i in top)
-        if not top_witness[j]:
-            return None
-    return top, top_witness
+                world = f"t{idx:06d}"
+                model = _types_to_model(space, survivors, top)
+                return generated_submodel(model, world), world
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -561,30 +527,32 @@ def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(items, r)
 
 
+def labeled_preorders(k: int) -> Iterator[frozenset[tuple[int, int]]]:
+    """Every preorder on range(k), once each: a partition into clusters
+    times a strict partial order on the clusters."""
+    for partition in _set_partitions(tuple(range(k))):
+        block_of = {x: bi for bi, block in enumerate(partition) for x in block}
+        for poset in _labeled_posets(len(partition)):
+            yield frozenset(
+                (x, y) for x in range(k) for y in range(k)
+                if block_of[x] == block_of[y] or (block_of[x], block_of[y]) in poset
+            )
+
+
 @lru_cache(maxsize=None)
-def _canonical_frames(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
+def canonical_frames(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
     """Preorders on range(k), one representative per isomorphism class,
     in canonical adjacency-encoding order."""
     seen = set()
     out = []
     perms = list(itertools.permutations(range(k)))
-    for partition in _set_partitions(tuple(range(k))):
-        blocks = [sorted(block) for block in partition]
-        block_of = {}
-        for bi, block in enumerate(blocks):
-            for x in block:
-                block_of[x] = bi
-        for poset in _labeled_posets(len(blocks)):
-            rel = frozenset(
-                (x, y) for x in range(k) for y in range(k)
-                if block_of[x] == block_of[y] or (block_of[x], block_of[y]) in poset
-            )
-            canon = min(
-                tuple(sorted((p[a], p[b]) for a, b in rel)) for p in perms
-            )
-            if canon not in seen:
-                seen.add(canon)
-                out.append(frozenset(canon))
+    for rel in labeled_preorders(k):
+        canon = min(
+            tuple(sorted((p[a], p[b]) for a, b in rel)) for p in perms
+        )
+        if canon not in seen:
+            seen.add(canon)
+            out.append(frozenset(canon))
     out.sort(key=lambda rel: sorted(rel))
     return tuple(out)
 
@@ -646,7 +614,7 @@ def _class_frames(k: int, lam: str, m: Bound, n: Bound) -> tuple[tuple[int, ...]
     logic = LogicId(lam, m, n)
     out = []
     worlds = [f"w{i}" for i in range(k)]
-    for rel in _canonical_frames(k):
+    for rel in canonical_frames(k):
         order = {(worlds[a], worlds[b]) for a, b in rel}
         skeleton = PreorderModel(worlds, order, {})
         if in_frame_class(skeleton, logic):
@@ -703,12 +671,6 @@ def countermodel_search(
     the bound proves nothing.
     """
     return _frame_walk(f, logic, max_worlds, "refute")
-
-
-def _search_satisfying_model(
-    f: Formula, logic: LogicId, max_worlds: int, deadline: _Deadline
-) -> Optional[tuple[PreorderModel, str]]:
-    return _frame_walk(f, logic, max_worlds, "satisfy", deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -864,21 +826,18 @@ def _sat_uncached(f: Formula, logic: LogicId, budget: Budget):
         return structural
 
     core = to_core(f)
-    base_sat: Optional[bool] = None
     base_witness = None
     skip_reason = ""
     try:
         space = TypeSpace([core], budget)
-        if logic.lam == "Int":
-            base_sat, base_witness = _s4_decide(space, core)
-        else:
-            base_sat, base_witness = _s42_decide(space, core)
     except BudgetExceeded as exc:
         skip_reason = exc.reason
+    else:
+        base_witness = _base_witness(space, core, logic.confluent)
+        if base_witness is None:
+            return UNSAT
 
-    if base_sat is False:
-        return UNSAT
-    if base_sat and base_witness is not None:
+    if base_witness is not None:
         model, world = base_witness
         if logic.unbounded:
             if kripke.satisfies(model, world, f) and in_frame_class(model, logic):
@@ -889,7 +848,7 @@ def _sat_uncached(f: Formula, logic: LogicId, budget: Budget):
                 return refined
 
     try:
-        found = _search_satisfying_model(f, logic, budget.max_worlds, deadline)
+        found = _frame_walk(f, logic, budget.max_worlds, "satisfy", deadline)
     except BudgetExceeded as exc:
         return Unknown(exc.reason)
     if found is not None:
@@ -947,7 +906,7 @@ def equivalent(
 # Interpolants
 # ---------------------------------------------------------------------------
 
-def _size_layer(by_size: dict[int, list[Formula]], size: int) -> list[Formula]:
+def size_layer(by_size: dict[int, list[Formula]], size: int) -> list[Formula]:
     batch: list[Formula] = []
     for g in by_size[size - 1]:
         if g not in (FALSE, TRUE):
@@ -984,7 +943,7 @@ def _candidate_stream(names: Sequence[str], max_candidates: int) -> Iterator[For
     for wave_cap in (4, 6, 8, 10):
         while top < wave_cap:
             top += 1
-            by_size[top] = _size_layer(by_size, top)
+            by_size[top] = size_layer(by_size, top)
         wave = [
             f for s in range(1, top + 1) for f in by_size[s]
             if node_count(f) > previous
@@ -1056,7 +1015,8 @@ def find_interpolant(
         right = valid(Implies(chi, f2), logic, budget)
         if not isinstance(right, Valid):
             continue
-        assert atoms(chi) <= set(shared)
+        if not atoms(chi) <= set(shared):
+            raise LogicError(f"candidate {pretty(chi)} leaves the shared vocabulary")
         return Interpolant(chi)
     return Unknown(
         f"no interpolant found among {tried} candidates (cap {budget.max_candidates})"

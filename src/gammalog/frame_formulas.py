@@ -16,7 +16,6 @@ index-lexicographically within each group, so the output is byte-stable.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -25,8 +24,6 @@ from .syntax import (
     And, Atom, Box, Diamond, Formula, FormulaError, Iff, Implies, Not, Or,
     Top, atoms, conj, disj, sorted_formulas,
 )
-
-log = logging.getLogger(__name__)
 
 OMEGA = float("inf")
 """Sentinel for the unbounded cluster-size parameter."""
@@ -48,7 +45,7 @@ class RootedFrame:
     rel: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        kripke._frame_shape(self)
+        kripke.frame_shape(self)
 
     def as_model(self, valuation=None) -> kripke.PreorderModel:
         worlds = [f"g{i}" for i in range(self.size)]

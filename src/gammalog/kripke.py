@@ -203,15 +203,6 @@ class ClusterView:
     final: tuple[bool, ...]
     cluster_of: Mapping[str, int] = field(hash=False, compare=False, default_factory=dict)
 
-    def strictly_above(self, i: int) -> list[int]:
-        return [j for j in range(len(self.clusters)) if (i, j) in self.leq and i != j]
-
-    def index_of(self, worlds: frozenset[str]) -> int:
-        for i, c in enumerate(self.clusters):
-            if c == worlds:
-                return i
-        raise ModelError(f"no cluster equals {sorted(worlds)}")
-
 
 def clusters(model: PreorderModel) -> ClusterView:
     groups: dict[str, set[str]] = {}
@@ -276,7 +267,7 @@ def is_confluent(model: PreorderModel) -> bool:
 _SHAPE_CACHE: dict[tuple[int, frozenset], tuple[int, frozenset]] = {}
 
 
-def _frame_shape(frame) -> tuple[int, frozenset[tuple[int, int]]]:
+def frame_shape(frame) -> tuple[int, frozenset[tuple[int, int]]]:
     """Accepts any object with integer ``size`` and relation ``rel``."""
     size = int(frame.size)
     rel = frozenset((int(a), int(b)) for a, b in frame.rel)
@@ -355,7 +346,7 @@ def find_p_morphism(
     the preimage sets partition the submodel and the map is a p-morphism.
     Without a spec, all maps are tried in canonical order.
     """
-    size, rel = _frame_shape(frame)
+    size, rel = frame_shape(frame)
     sub = generated_submodel(model, world)
     if preimage_spec is not None:
         if len(preimage_spec) != size:
@@ -412,8 +403,3 @@ def dump_model(model: PreorderModel, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(model_to_dict(model), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def describe_world(model: PreorderModel, world: str) -> str:
-    trues = sorted(a for a, ext in model.valuation.items() if world in ext)
-    return f"{world}: {{{', '.join(trues)}}}"

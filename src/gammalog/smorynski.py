@@ -214,19 +214,9 @@ def _maximal_sets_from_types(
     with the full engine and the construction aborts on any Unknown.
     """
     space = _engine.TypeSpace(sorted_formulas(closure.sigma), budget)
-    if logic.lam == "Int":
-        survivors = set(_engine._eliminate(space, space.coherent))
-    else:
-        survivors = set()
-        sigs = sorted({space.sig(i) for i in space.coherent})
-        for b in sigs:
-            outcome = _engine._top_cluster_candidates(space, b)
-            if outcome is None:
-                continue
-            top, top_witness = outcome
-            compatibles = [i for i in space.coherent if space.sig(i) | b == b]
-            survivors |= set(_engine._eliminate(space, compatibles, top_witness))
-            survivors |= set(top)
+    survivors = set()
+    for alive, _ in _engine.base_models(space, logic.confluent):
+        survivors.update(alive)
     sets = {}
     for i in sorted(survivors):
         t1 = frozenset(f for f in closure.sigma1 if space.holds(f, i))

@@ -441,12 +441,6 @@ def to_core(f: Formula) -> Formula:
     raise FormulaError(f"unknown node {f!r}")
 
 
-def is_core(f: Formula) -> bool:
-    if isinstance(f, (Diamond, Implies, Iff)):
-        return False
-    return all(is_core(c) for c in children(f))
-
-
 # ---------------------------------------------------------------------------
 # Subformula closure
 # ---------------------------------------------------------------------------
@@ -617,44 +611,6 @@ def closure_letters(closure: Iterable[Formula]) -> list[Formula]:
     return sorted_formulas(f for f in closure if isinstance(f, (Atom, Box, Diamond)))
 
 
-def _truth_table_of(f: Formula, letters: Sequence[Formula]) -> int:
-    """Truth table of f over the letters, as a bitmask over 2^k assignments.
-
-    Assignment i makes letter j true iff bit j of i is set; non-boolean
-    subformulas must themselves be letters.
-    """
-    index = {g: j for j, g in enumerate(letters)}
-    k = len(letters)
-    full = (1 << (1 << k)) - 1
-
-    def eval_(g: Formula) -> int:
-        if g in index:
-            j = index[g]
-            mask = 0
-            for i in range(1 << k):
-                if i >> j & 1:
-                    mask |= 1 << i
-            return mask
-        if isinstance(g, Bottom):
-            return 0
-        if isinstance(g, Top):
-            return full
-        if isinstance(g, Not):
-            return full & ~eval_(g.sub)
-        if isinstance(g, And):
-            return eval_(g.left) & eval_(g.right)
-        if isinstance(g, Or):
-            return eval_(g.left) | eval_(g.right)
-        if isinstance(g, Implies):
-            return (full & ~eval_(g.left)) | eval_(g.right)
-        if isinstance(g, Iff):
-            a, b = eval_(g.left), eval_(g.right)
-            return (a & b) | (full & ~a & ~b)
-        raise FormulaError(f"{pretty(g)} is not boolean over the closure letters")
-
-    return eval_(f)
-
-
 def representative(table: int, letters: Sequence[Formula]) -> Formula:
     """Canonical formula for a truth table over the letters.
 
@@ -749,7 +705,6 @@ class SignedClosure:
 
     sigma1: frozenset[Formula]
     sigma2: frozenset[Formula]
-    provenance: tuple[str, str] = ("", "")
 
     @classmethod
     def from_seeds(
@@ -759,8 +714,7 @@ class SignedClosure:
     ) -> "SignedClosure":
         s1 = box_negation_closure(to_core(f) for f in seeds1)
         s2 = box_negation_closure(to_core(f) for f in seeds2)
-        return cls(s1, s2, ("box_negation_closure(core(seeds1))",
-                            "box_negation_closure(core(seeds2))"))
+        return cls(s1, s2)
 
     @property
     def sigma(self) -> frozenset[Formula]:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from gammalog.cli import main
 
@@ -142,3 +145,77 @@ def test_deterministic_output(capsys):
     first = run(capsys, "check", "--logic", "S4", "<>[]p -> []<>p")
     second = run(capsys, "check", "--logic", "S4", "<>[]p -> []<>p")
     assert first == second
+
+
+# Printed witnesses pinned byte for byte, so that a change to the engine
+# cannot alter them unnoticed. The S4.2 model includes the u000000 copy of
+# its final cluster.
+GOLDEN_CHECK = {
+    ("S4", "<>[]p -> []<>p"): (
+        '{"model": {"closure": "strict", "order": [["t000000", "t000000"], '
+        '["t000000", "t000001"], ["t000000", "t000002"], ["t000000", '
+        '"t000003"], ["t000000", "t000004"], ["t000000", "t000005"], '
+        '["t000000", "t000006"], ["t000000", "t000007"], ["t000000", '
+        '"t000008"], ["t000000", "t000009"], ["t000001", "t000000"], '
+        '["t000001", "t000001"], ["t000001", "t000002"], ["t000001", '
+        '"t000003"], ["t000001", "t000004"], ["t000001", "t000005"], '
+        '["t000001", "t000006"], ["t000001", "t000007"], ["t000001", '
+        '"t000008"], ["t000001", "t000009"], ["t000002", "t000002"], '
+        '["t000002", "t000003"], ["t000002", "t000004"], ["t000002", '
+        '"t000008"], ["t000002", "t000009"], ["t000003", "t000002"], '
+        '["t000003", "t000003"], ["t000003", "t000004"], ["t000003", '
+        '"t000008"], ["t000003", "t000009"], ["t000004", "t000004"], '
+        '["t000005", "t000005"], ["t000005", "t000006"], ["t000005", '
+        '"t000007"], ["t000005", "t000008"], ["t000005", "t000009"], '
+        '["t000006", "t000005"], ["t000006", "t000006"], ["t000006", '
+        '"t000007"], ["t000006", "t000008"], ["t000006", "t000009"], '
+        '["t000007", "t000007"], ["t000008", "t000008"], ["t000008", '
+        '"t000009"], ["t000009", "t000008"], ["t000009", "t000009"]], '
+        '"valuation": {"p": ["t000001", "t000003", "t000006", "t000007", '
+        '"t000009"]}, "worlds": ["t000000", "t000001", "t000002", "t000003", '
+        '"t000004", "t000005", "t000006", "t000007", "t000008", "t000009"]}, '
+        '"v": 1, "verdict": "invalid", "world": "t000000"}'
+    ),
+    ("S4.2", "<>p -> []<>p"): (
+        '{"model": {"closure": "strict", "order": [["t000000", "t000000"], '
+        '["t000000", "t000001"], ["t000000", "t000002"], ["t000000", '
+        '"u000000"], ["t000001", "t000000"], ["t000001", "t000001"], '
+        '["t000001", "t000002"], ["t000001", "u000000"], ["t000002", '
+        '"t000002"], ["t000002", "u000000"], ["u000000", "u000000"]], '
+        '"valuation": {"p": ["t000001"]}, "worlds": ["t000000", "t000001", '
+        '"t000002", "u000000"]}, "v": 1, "verdict": "invalid", "world": '
+        '"t000000"}'
+    ),
+}
+GOLDEN_SMORYNSKI_S42_P_Q_SHA256 = (
+    "47af98d57c0095d19a9e78d61fabd17405dfe1010743dbc994f4309025060b5a"
+)
+
+
+def test_witness_output_is_pinned(capsys, tmp_path):
+    for (logic, formula), expected in GOLDEN_CHECK.items():
+        code, out, _ = run(capsys, "--format", "json", "check", "--logic", logic, formula)
+        assert code == 1
+        assert out == expected + "\n", (logic, formula)
+    (tmp_path / "p.txt").write_text("p\n")
+    (tmp_path / "q.txt").write_text("q\n")
+    code, out, _ = run(capsys, "smorynski", "--logic", "S4.2",
+                       "--sigma1", str(tmp_path / "p.txt"),
+                       "--sigma2", str(tmp_path / "q.txt"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SMORYNSKI_S42_P_Q_SHA256
+
+
+@pytest.mark.parametrize("command", ["check", "countermodel"])
+def test_countermodel_roundtrip_mismatch_exits_unknown(capsys, monkeypatch, command):
+    from gammalog import kripke
+
+    # the reloaded model loses its valuation, so it no longer refutes
+    monkeypatch.setattr(
+        kripke, "model_from_dict",
+        lambda data: kripke.PreorderModel(data["worlds"], data["order"], {}),
+    )
+    code, out, _ = run(capsys, "--format", "json", command, "--logic", "S4",
+                       "<>[]p -> []<>p")
+    assert code == 3
+    assert "round-trip" in json.loads(out)["error"]

@@ -2,13 +2,15 @@ import pytest
 
 from gammalog.engine import (
     ALL_LOGICS, Budget, Interpolant, Invalid, LogicError,
-    LogicId, NotValid, Satisfiable, Unknown, Unsatisfiable, Valid, catalog,
-    countermodel_search, equivalent, find_interpolant, in_frame_class,
-    parse_logic, sat, valid,
+    LogicId, NotValid, Satisfiable, TypeSpace, Unknown, Unsatisfiable, Valid,
+    base_models, catalog, countermodel_search, equivalent, find_interpolant,
+    in_frame_class, parse_logic, sat, valid,
 )
 from gammalog.frame_formulas import OMEGA, gamma
 from gammalog.kripke import satisfies
-from gammalog.syntax import Top, atoms, parse, pretty
+from gammalog.syntax import (
+    SignedClosure, Top, atoms, parse, pretty, sorted_formulas,
+)
 
 S4 = parse_logic("S4")
 S42 = parse_logic("S4.2")
@@ -32,6 +34,25 @@ def test_parse_logic():
 def test_all_logics():
     assert len(ALL_LOGICS) == 18
     assert len(set(map(str, ALL_LOGICS))) == 18
+
+
+# --- base-logic elimination -----------------------------------------------------
+
+def test_s42_base_models_keep_their_top_among_the_survivors():
+    # each S4.2 model has a non-empty final cluster of one signature b, every
+    # survivor's signature lies inside b, and no top type is eliminated
+    for left, right in [("p", "p"), ("[]p", "p"), ("p", "q"), ("~[]p", "<>q")]:
+        closure = SignedClosure.from_seeds([parse(left)], [parse(right)])
+        space = TypeSpace(sorted_formulas(closure.sigma), Budget())
+        bounds = []
+        for survivors, top in base_models(space, confluent=True):
+            assert top, (left, right)
+            b = space.sig(top[0])
+            assert all(space.sig(i) == b for i in top)
+            assert all(space.sig(i) | b == b for i in survivors)
+            assert set(top) <= set(survivors)
+            bounds.append(b)
+        assert bounds and bounds == sorted(set(bounds)), (left, right)
 
 
 # --- sat ------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_s42_sat_implies_s4_sat_on_two_atom_samples():
 @st.composite
 def _frame_and_formula(draw):
     k = draw(st.integers(min_value=1, max_value=4))
-    rel = draw(st.sampled_from(engine._canonical_frames(k)))
+    rel = draw(st.sampled_from(engine.canonical_frames(k)))
     succ = [0] * k
     for a, b in rel:
         succ[a] |= 1 << b
@@ -127,12 +127,12 @@ def test_bit_evaluator_matches_reference_model_checker(case):
 
 def test_type_space_truth_matches_model_checking_on_extracted_model():
     # the elimination model satisfies exactly the formulas its types contain
-    from gammalog.engine import TypeSpace, _eliminate, _types_to_model
+    from gammalog.engine import TypeSpace, _types_to_model, base_models
     from gammalog.syntax import to_core, subformula_closure, sorted_formulas
 
     core = to_core(parse("[](p -> q) & <>~q & <>[]p"))
     space = TypeSpace([core], Budget())
-    survivors = _eliminate(space, space.coherent)
+    [(survivors, _)] = base_models(space, confluent=False)
     model = _types_to_model(space, survivors)
     ordered = sorted(survivors)
     for f in sorted_formulas(subformula_closure([core])):

@@ -185,12 +185,12 @@ def test_gamma_frame_validity_matches_cluster_bounds():
     # gamma(n, topped) is valid on a frame iff no reachable cluster of the
     # corresponding kind exceeds n; brute force over all frames with <= 4
     # points via the unconstrained p-morphism search
-    from gammalog.engine import _canonical_frames
+    from gammalog.engine import canonical_frames
     from gammalog.kripke import clusters
 
     cases = [(1, False), (2, False), (1, True)]
     for k in range(1, 5):
-        for rel in _canonical_frames(k):
+        for rel in canonical_frames(k):
             worlds = [f"w{i}" for i in range(k)]
             model = PreorderModel(
                 worlds, {(worlds[a], worlds[b]) for a, b in rel}, {}
@@ -219,12 +219,12 @@ def test_gamma_frame_validity_matches_cluster_bounds():
 def test_gamma_valuation_bruteforce_matches_morphism_search():
     # Fine's correspondence at the model level for gamma(1, False) on all
     # frames with <= 3 points: refutable under some valuation iff image
-    from gammalog.engine import _canonical_frames, eval_on_frame
+    from gammalog.engine import canonical_frames, eval_on_frame
 
     beta = gamma(1, False)
     target = cluster_frame(2, False)
     for k in range(1, 4):
-        for rel in _canonical_frames(k):
+        for rel in canonical_frames(k):
             succ = [0] * k
             for a, b in rel:
                 succ[a] |= 1 << b

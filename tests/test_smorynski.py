@@ -122,15 +122,16 @@ def test_smorynski_refutes_uninterpolatable_implication():
 
 
 def test_smorynski_strategies_agree():
-    closure = SignedClosure.from_seeds([p], [p])
-    fast = build_smorynski_model(closure, S4)
-    slow = build_smorynski_model(closure, S4, strategy="branching")
-    assert sorted(w.label() for w in fast.worlds.values()) == \
-        sorted(w.label() for w in slow.worlds.values())
-    kc_fast = build_smorynski_model(closure, S42)
-    kc_slow = build_smorynski_model(closure, S42, strategy="branching")
-    assert sorted(w.label() for w in kc_fast.worlds.values()) == \
-        sorted(w.label() for w in kc_slow.worlds.values())
+    cases = [
+        (S4, "p", "p"), (S4, "[]p", "p"),
+        (S42, "p", "p"), (S42, "p", "q"), (S42, "~[]p", "<>q"),
+    ]
+    for logic, left, right in cases:
+        closure = SignedClosure.from_seeds([parse(left)], [parse(right)])
+        fast = build_smorynski_model(closure, logic)
+        slow = build_smorynski_model(closure, logic, strategy="branching")
+        assert sorted(w.label() for w in fast.worlds.values()) == \
+            sorted(w.label() for w in slow.worlds.values()), (str(logic), left, right)
 
 
 def test_smorynski_equivalent_members_co_decided():
