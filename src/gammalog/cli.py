@@ -232,7 +232,7 @@ def cmd_smorynski(args) -> int:
     closure = SignedClosure.from_seeds(seeds1, seeds2)
     try:
         sm = smorynski.build_smorynski_model(closure, logic, _budget(args))
-    except smorynski.OracleUndecided as exc:
+    except (smorynski.OracleUndecided, engine.BudgetExceeded) as exc:
         _emit(args, {"error": str(exc)}, [f"construction aborted: {exc}"])
         return EXIT_UNKNOWN
     payload = sm.to_json_dict()

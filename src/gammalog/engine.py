@@ -267,12 +267,14 @@ def frame_in_class(frame: RootedFrame, logic: LogicId) -> bool:
 # ---------------------------------------------------------------------------
 
 def _column(j: int, k: int) -> int:
-    """Bitmask over 2^k assignments where assignment i has bit j set."""
+    """Bitmask over 2^k assignments where assignment i has bit j set (j < k)."""
     step = 1 << j
-    block = ((1 << step) - 1) << step
-    period = step << 1
-    reps = (1 << k) // period
-    return block * (((1 << (period * reps)) - 1) // ((1 << period) - 1)) if reps else 0
+    out = ((1 << step) - 1) << step
+    width = step << 1
+    while width < 1 << k:
+        out |= out << width
+        width <<= 1
+    return out
 
 
 class TypeSpace:
@@ -281,7 +283,9 @@ class TypeSpace:
     Letters are the closure's atoms and boxed subformulas; an assignment is
     an integer whose bit j gives letter j's value. Formula truth across all
     assignments is held as one big bitmask, so coherence filtering and
-    elimination run bit-parallel.
+    elimination run bit-parallel: a set of types is a 2^k-bit mask too, and
+    ``_eliminate`` answers superset queries on box signatures by shifting
+    such masks along the letter columns.
     """
 
     def __init__(self, seeds: Iterable[Formula], budget: Budget):
@@ -309,6 +313,7 @@ class TypeSpace:
         for j in self.box_positions:
             letter = self.letters[j]
             coherent_mask &= (self._full ^ _column(j, self.k)) | self.mask(letter.sub)
+        self.coherent_mask = coherent_mask
         self.coherent = _bits(coherent_mask)
         if len(self.coherent) > budget.max_types:
             raise BudgetExceeded(
@@ -357,12 +362,8 @@ class TypeSpace:
 
 
 def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """Positions of the set bits of mask, ascending."""
+    return [hit.start() for hit in re.finditer("1", bin(mask)[:1:-1])]
 
 
 def _eliminate(space: TypeSpace, b: int) -> list[int]:
@@ -373,36 +374,37 @@ def _eliminate(space: TypeSpace, b: int) -> list[int]:
     j's core and whose box signature contains i's. Box letters outside b
     carry no obligation: in the confluent construction the final cluster of
     signature b refutes their cores above every world.
+
+    Each round answers every obligation for j at once, bit-parallel over the
+    2^k assignments: the witnesses ``alive & ~core_j`` are down-closed over
+    every letter bit, the points with no atom bit set then mark exactly the
+    signatures below some witness's, and spreading those points back over
+    the atom bits marks the types whose obligation for j is met.
     """
-    alive = [i for i in space.coherent if space.sig(i) | b == b]
-    positions = [j for j in space.box_positions if b >> j & 1]
-    obligations = {i: [j for j in positions if not i >> j & 1] for i in alive}
-    core_bits = {j: space.bits(space.letters[j].sub) for j in positions}
+    columns = [space.mask(letter) for letter in space.letters]
+    atom_bits = [p for p in range(space.k) if not space.box_mask >> p & 1]
+    any_atom = 0
+    for p in atom_bits:
+        any_atom |= columns[p]
+    alive = space.coherent_mask
+    cores = {}
+    for j in space.box_positions:
+        if b >> j & 1:
+            cores[j] = space.mask(space.letters[j].sub)
+        else:
+            alive &= ~columns[j]
     while True:
-        witness_sigs: dict[int, set[int]] = {}
-        for j in positions:
-            view = core_bits[j]
-            witness_sigs[j] = {
-                space.sig(i) for i in alive if not view[i >> 3] >> (i & 7) & 1
-            }
-        answered: dict[tuple[int, int], bool] = {}
-        kept = []
-        for i in alive:
-            sig_i = space.sig(i)
-            ok = True
-            for j in obligations[i]:
-                key = (sig_i, j)
-                hit = answered.get(key)
-                if hit is None:
-                    hit = any(sig | sig_i == sig for sig in witness_sigs[j])
-                    answered[key] = hit
-                if not hit:
-                    ok = False
-                    break
-            if ok:
-                kept.append(i)
-        if len(kept) == len(alive):
-            return kept
+        kept = alive
+        for j, core in cores.items():
+            down = alive & ~core
+            for p, column in enumerate(columns):
+                down |= (down & column) >> (1 << p)
+            down &= ~any_atom
+            for p in atom_bits:
+                down |= down << (1 << p)
+            kept &= columns[j] | down
+        if kept == alive:
+            return _bits(alive)
         alive = kept
 
 
@@ -425,8 +427,10 @@ def base_models(
     if not confluent:
         yield _eliminate(space, space.box_mask), []
         return
-    for b in sorted({space.sig(i) for i in space.coherent}):
-        top = [i for i in space.coherent if space.sig(i) == b]
+    by_sig: dict[int, list[int]] = {}
+    for i in space.coherent:
+        by_sig.setdefault(space.sig(i), []).append(i)
+    for b, top in sorted(by_sig.items()):
         if all(
             any(not space.holds(space.letters[j].sub, i) for i in top)
             for j in space.box_positions if not b >> j & 1

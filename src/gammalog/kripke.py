@@ -50,9 +50,10 @@ class PreorderModel:
             if a not in wset or b not in wset:
                 raise ModelError(f"order mentions unknown world in ({a}, {b})")
         if closure == "auto":
-            rel = _reflexive_transitive_closure(ws, rel)
+            succ = _reflexive_transitive_closure(ws, rel)
+            rel = {(a, b) for a in ws for b in succ[a]}
         elif closure == "strict":
-            _validate_preorder(ws, rel)
+            succ = _validate_preorder(ws, rel)
         else:
             raise ModelError(f"closure mode must be 'auto' or 'strict', got {closure!r}")
         val = {}
@@ -65,7 +66,7 @@ class PreorderModel:
         self.worlds: tuple[str, ...] = ws
         self.order: frozenset[tuple[str, str]] = frozenset(rel)
         self.valuation: dict[str, frozenset[str]] = val
-        self._succ = {w: frozenset(b for a, b in rel if a == w) for w in ws}
+        self._succ = {w: frozenset(succ[w]) for w in ws}
         self._cache: dict[Formula, frozenset[str]] = {}
         self._warned: set[str] = set()
         self._gen: dict[frozenset[str], "PreorderModel"] = {}
@@ -108,7 +109,8 @@ class PreorderModel:
 
 def _reflexive_transitive_closure(
     worlds: Sequence[str], rel: set[tuple[str, str]]
-) -> set[tuple[str, str]]:
+) -> dict[str, set[str]]:
+    """Successor sets of the reflexive-transitive closure of rel."""
     succ = {w: {w} for w in worlds}
     for a, b in rel:
         succ[a].add(b)
@@ -122,18 +124,24 @@ def _reflexive_transitive_closure(
             if not extra <= succ[w]:
                 succ[w] |= extra
                 changed = True
-    return {(a, b) for a in worlds for b in succ[a]}
+    return succ
 
 
-def _validate_preorder(worlds: Sequence[str], rel: set[tuple[str, str]]) -> None:
+def _validate_preorder(
+    worlds: Sequence[str], rel: set[tuple[str, str]]
+) -> dict[str, set[str]]:
+    """Successor sets of rel, which must be reflexive and transitive."""
     for w in worlds:
         if (w, w) not in rel:
             raise ModelError(f"order is not reflexive at {w}")
-    succ = {w: {b for a, b in rel if a == w} for w in worlds}
+    succ: dict[str, set[str]] = {w: set() for w in worlds}
+    for a, b in rel:
+        succ[a].add(b)
     for a, b in rel:
         if not succ[b] <= succ[a]:
             missing = sorted(succ[b] - succ[a])
             raise ModelError(f"order is not transitive: {a} <= {b} <= {missing[0]}")
+    return succ
 
 
 # ---------------------------------------------------------------------------

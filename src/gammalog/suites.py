@@ -226,20 +226,21 @@ def suite_truthlemma(scale: float = 1.0) -> tuple[bool, str]:
 
 
 def _order_matches_boxes(sm: smorynski.SmorynskiModel) -> bool:
-    boxed = [f for f in sm.closure.sigma if isinstance(f, Box)]
-    for a, ta in sm.worlds.items():
-        for b, tb in sm.worlds.items():
-            expected = all(f in tb.members for f in boxed if f in ta.members)
-            if sm.model.leq(a, b) != expected:
+    boxed = frozenset(f for f in sm.closure.sigma if isinstance(f, Box))
+    box_part = {wid: ms.members & boxed for wid, ms in sm.worlds.items()}
+    for a, ba in box_part.items():
+        for b, bb in box_part.items():
+            if sm.model.leq(a, b) != (ba <= bb):
                 return False
     return True
 
 
 def _maximality_holds(sm: smorynski.SmorynskiModel) -> bool:
     from .syntax import iter_negation_pairs
+    pairs = {side: list(iter_negation_pairs(sm.closure.side(side))) for side in (1, 2)}
     for ms in sm.worlds.values():
         for side, tset in ((1, ms.t1), (2, ms.t2)):
-            for f, g in iter_negation_pairs(sm.closure.side(side)):
+            for f, g in pairs[side]:
                 if (f in tset) == (g in tset):
                     return False
         if Bottom() in ms.members:

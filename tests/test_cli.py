@@ -121,6 +121,17 @@ def test_smorynski_command(capsys, tmp_path):
     assert payload["worlds"] and all(w.startswith("{") for w in payload["worlds"])
 
 
+def test_smorynski_over_budget_exits_unknown(capsys, tmp_path):
+    (tmp_path / "pq.txt").write_text("p & q\n")
+    (tmp_path / "p.txt").write_text("p\n")
+    code, out, err = run(capsys, "--format", "json", "smorynski", "--logic", "S4",
+                         "--sigma1", str(tmp_path / "pq.txt"),
+                         "--sigma2", str(tmp_path / "p.txt"), "--max-closure", "5")
+    assert code == 3
+    assert json.loads(out) == {"v": 1, "error": "type space needs 20 letters (cap 5)"}
+    assert err == ""
+
+
 def test_catalog_command(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

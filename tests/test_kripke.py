@@ -17,18 +17,39 @@ def total(worlds):
 
 
 def test_construction_validates_preorder():
-    with pytest.raises(ModelError):
-        PreorderModel(["a", "b"], [("a", "b")], {})  # not reflexive
-    with pytest.raises(ModelError):
-        PreorderModel(
-            ["a", "b", "c"],
-            [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")],
-            {},
-        )  # not transitive
-    with pytest.raises(ModelError):
-        PreorderModel(["a"], [("a", "a")], {"p": ["zzz"]})
-    with pytest.raises(ModelError):
-        PreorderModel([], [], {})
+    def message(worlds, order, valuation=None, closure="strict"):
+        with pytest.raises(ModelError) as info:
+            PreorderModel(worlds, order, valuation or {}, closure=closure)
+        return str(info.value)
+
+    assert message(["a", "b"], [("a", "b")]) == "order is not reflexive at a"
+    chain = [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")]
+    assert message(["a", "b", "c"], chain) == "order is not transitive: a <= b <= c"
+    assert message(["a"], [("a", "a"), ("a", "z")]) == "order mentions unknown world in (a, z)"
+    assert message(["a"], [("z", "z")], closure="auto") == "order mentions unknown world in (z, z)"
+    assert message(["a"], [("a", "a")], {"p": ["zzz"]}) == (
+        "valuation of p mentions unknown worlds ['zzz']"
+    )
+    assert message([], []) == "a model needs at least one world"
+    assert message(["a"], [("a", "a")], closure="none") == (
+        "closure mode must be 'auto' or 'strict', got 'none'"
+    )
+
+
+def test_successors_match_the_order_on_every_four_world_preorder():
+    from gammalog.engine import labeled_preorders
+
+    worlds = ["w0", "w1", "w2", "w3"]
+    count = 0
+    for rel in labeled_preorders(4):
+        order = {(worlds[a], worlds[b]) for a, b in rel}
+        for closure in ("strict", "auto"):
+            m = PreorderModel(worlds, order, {}, closure=closure)
+            assert m.order == order
+            for w in worlds:
+                assert m.successors(w) == {b for a, b in order if a == w}
+        count += 1
+    assert count == 355
 
 
 def test_auto_closure():
