@@ -384,6 +384,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _VerificationError as exc:
         _emit(args, {"error": str(exc)}, [f"error: {exc}"])
         return EXIT_UNKNOWN
+    except RecursionError:
+        message = "formula nested too deeply (maximum recursion depth exceeded)"
+        _emit(args, {"error": message}, [f"error: {message}"])
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

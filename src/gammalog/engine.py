@@ -23,6 +23,9 @@ method that is sound for the whole frame class:
    final for the (w,w) logics and otherwise feed a cluster-refinement
    attempt whose output is re-verified against the frame class.
 3. Bounded enumeration of class models (also the countermodel oracle).
+   It and the interpolant fingerprints run ``kripke.eval_on_frame``, the
+   package's one Kripke evaluator. ``TypeSpace.mask`` evaluates the
+   closure propositionally over letter assignments, box letters as leaves.
 
 Anything undecided within budget is reported as Unknown, never guessed.
 """
@@ -38,7 +41,9 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import kripke
 from .frame_formulas import OMEGA, RootedFrame
-from .kripke import PreorderModel, generated_submodel, is_confluent, model_check
+from .kripke import (
+    PreorderModel, eval_on_frame, generated_submodel, is_confluent, model_from_masks,
+)
 from .syntax import (
     And, Atom, Bottom, Box, Diamond, Formula, Iff, Implies, Not, Or, Top,
     FALSE, TRUE, atoms, node_count, pretty, sort_key, sorted_formulas,
@@ -561,70 +566,16 @@ def canonical_frames(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
     return tuple(out)
 
 
-def eval_on_frame(
-    succ: Sequence[int], env: dict[str, int], f: Formula, cache: Optional[dict] = None
-) -> int:
-    """Bit-parallel satisfaction set over a small frame.
-
-    ``succ[w]`` is the successor bitmask of world w and ``env`` maps atom
-    names to extension bitmasks; the result is the bitmask of [[f]].
-    """
-    if cache is None:
-        cache = {}
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
-    k = len(succ)
-    full = (1 << k) - 1
-    if isinstance(f, Atom):
-        out = env.get(f.name, 0)
-    elif isinstance(f, Bottom):
-        out = 0
-    elif isinstance(f, Top):
-        out = full
-    elif isinstance(f, Not):
-        out = full ^ eval_on_frame(succ, env, f.sub, cache)
-    elif isinstance(f, And):
-        out = eval_on_frame(succ, env, f.left, cache) & eval_on_frame(succ, env, f.right, cache)
-    elif isinstance(f, Or):
-        out = eval_on_frame(succ, env, f.left, cache) | eval_on_frame(succ, env, f.right, cache)
-    elif isinstance(f, Implies):
-        out = (full ^ eval_on_frame(succ, env, f.left, cache)) | eval_on_frame(succ, env, f.right, cache)
-    elif isinstance(f, Iff):
-        a = eval_on_frame(succ, env, f.left, cache)
-        b = eval_on_frame(succ, env, f.right, cache)
-        out = (a & b) | (full ^ (a | b))
-    elif isinstance(f, Box):
-        sub = eval_on_frame(succ, env, f.sub, cache)
-        out = 0
-        for w in range(k):
-            if succ[w] & ~sub == 0:
-                out |= 1 << w
-    elif isinstance(f, Diamond):
-        sub = eval_on_frame(succ, env, f.sub, cache)
-        out = 0
-        for w in range(k):
-            if succ[w] & sub:
-                out |= 1 << w
-    else:
-        raise LogicError(f"unknown node {f!r}")
-    cache[f] = out
-    return out
-
-
 @lru_cache(maxsize=None)
 def _class_frames(k: int, lam: str, m: Bound, n: Bound) -> tuple[tuple[int, ...], ...]:
     """Successor-mask vectors of the canonical k-world frames in the class."""
     logic = LogicId(lam, m, n)
     out = []
-    worlds = [f"w{i}" for i in range(k)]
     for rel in canonical_frames(k):
-        order = {(worlds[a], worlds[b]) for a, b in rel}
-        skeleton = PreorderModel(worlds, order, {})
-        if in_frame_class(skeleton, logic):
-            succ = [0] * k
-            for a, b in rel:
-                succ[a] |= 1 << b
+        succ = [0] * k
+        for a, b in rel:
+            succ[a] |= 1 << b
+        if in_frame_class(model_from_masks(succ, {}), logic):
             out.append(tuple(succ))
     return tuple(out)
 
@@ -640,7 +591,6 @@ def _frame_walk(
     (want='refute') or satisfying it (want='satisfy')."""
     names = sorted(atoms(f))
     for k in range(1, max_worlds + 1):
-        worlds = [f"w{i}" for i in range(k)]
         full = (1 << k) - 1
         for succ in _class_frames(k, logic.lam, logic.m, logic.n):
             if deadline:
@@ -650,16 +600,10 @@ def _frame_walk(
                 sat_bits = eval_on_frame(succ, env, f)
                 target = (full ^ sat_bits) if want == "refute" else sat_bits
                 if target:
-                    world_index = (target & -target).bit_length() - 1
-                    model = PreorderModel(
-                        worlds,
-                        {(worlds[a], worlds[b]) for a in range(k) for b in range(k)
-                         if succ[a] >> b & 1},
-                        {name: [worlds[i] for i in range(k) if bit >> i & 1]
-                         for name, bit in zip(names, bits)},
-                    )
-                    world = worlds[world_index]
-                    # re-verify with the reference semantics before returning
+                    world = f"w{(target & -target).bit_length() - 1}"
+                    # rebuild the hit as a validated preorder model and check
+                    # it again there, together with class membership
+                    model = model_from_masks(succ, env)
                     holds = kripke.satisfies(model, world, f)
                     if holds == (want == "satisfy") and in_frame_class(model, logic):
                         return model, world
@@ -818,7 +762,9 @@ def sat(f: Formula, logic: LogicId, budget: Optional[Budget] = None):
     if hit is not None:
         return hit
     result = _sat_uncached(f, logic, budget)
-    _SAT_CACHE[key] = result
+    if not isinstance(result, Unknown):
+        # an Unknown may come from the time budget, so it is never reused
+        _SAT_CACHE[key] = result
     return result
 
 
@@ -961,27 +907,21 @@ def _candidate_stream(names: Sequence[str], max_candidates: int) -> Iterator[For
         previous = wave_cap
 
 
-def _fingerprint(f: Formula, zoo: Sequence[PreorderModel]) -> tuple:
-    return tuple(frozenset(model_check(m, f)) for m in zoo)
+def _fingerprint(f: Formula, zoo: Sequence[tuple]) -> tuple:
+    return tuple(eval_on_frame(succ, env, f, cache) for succ, env, cache in zoo)
 
 
-def _fingerprint_zoo(names: Sequence[str]) -> list[PreorderModel]:
-    frames = [
-        (["a"], {("a", "a")}),
-        (["a", "b"], {("a", "a"), ("b", "b"), ("a", "b")}),
-        (["a", "b"], {("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}),
-        (["a", "b", "c"], {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("a", "c")}),
-    ]
-    zoo = []
+def _fingerprint_zoo(names: Sequence[str]) -> list[tuple]:
+    """(successor masks, valuation, cache) for each valuation of the first
+    two atoms on four small frames: one world, a two-chain, a two-cluster
+    and a fork."""
+    frames = [(0b1,), (0b11, 0b10), (0b11, 0b11), (0b111, 0b010, 0b100)]
     pick = sorted(names)[:2]
-    for worlds, order in frames:
-        for bits in itertools.product(range(1 << len(worlds)), repeat=len(pick)):
-            valuation = {
-                name: [w for i, w in enumerate(worlds) if bit >> i & 1]
-                for name, bit in zip(pick, bits)
-            }
-            zoo.append(PreorderModel(worlds, order, valuation))
-    return zoo
+    return [
+        (succ, dict(zip(pick, bits)), {})
+        for succ in frames
+        for bits in itertools.product(range(1 << len(succ)), repeat=len(pick))
+    ]
 
 
 def find_interpolant(

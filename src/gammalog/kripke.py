@@ -2,8 +2,13 @@
 
 Models are immutable after construction. World ids are opaque strings and
 every deterministic enumeration iterates them in lexicographic order.
-Unknown atoms evaluate to the empty set (logged once per model) because the
-closure machinery routinely checks formulas over partially valued models.
+
+``eval_on_frame`` is the package's one Kripke evaluator, on successor
+bitmasks (bit i is the i-th world in sorted order). A ``PreorderModel``
+keeps those masks, and ``model_check`` reads the evaluator's result back as
+a set of world ids. Unknown atoms evaluate to the empty set (logged once
+per model) because the closure machinery routinely checks formulas over
+partially valued models.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ class PreorderModel:
     preorder; ``closure="auto"`` adds the reflexive-transitive closure.
     """
 
-    __slots__ = ("worlds", "order", "valuation", "_succ", "_cache", "_warned", "_gen")
+    __slots__ = (
+        "worlds", "order", "valuation", "_succ", "_masks", "_env", "_cache", "_sets", "_gen",
+    )
 
     def __init__(
         self,
@@ -67,8 +74,11 @@ class PreorderModel:
         self.order: frozenset[tuple[str, str]] = frozenset(rel)
         self.valuation: dict[str, frozenset[str]] = val
         self._succ = {w: frozenset(succ[w]) for w in ws}
-        self._cache: dict[Formula, frozenset[str]] = {}
-        self._warned: set[str] = set()
+        bit = {w: 1 << i for i, w in enumerate(ws)}.__getitem__
+        self._masks = tuple(sum(map(bit, succ[w])) for w in ws)
+        self._env = _Valuation((atom, sum(map(bit, ext))) for atom, ext in val.items())
+        self._cache: dict[Formula, int] = {}
+        self._sets: dict[Formula, frozenset[str]] = {}
         self._gen: dict[frozenset[str], "PreorderModel"] = {}
 
     def successors(self, w: str) -> frozenset[str]:
@@ -105,6 +115,17 @@ class PreorderModel:
 
     def __repr__(self) -> str:
         return f"PreorderModel({len(self.worlds)} worlds, {len(self.order)} edges)"
+
+
+class _Valuation(dict):
+    """Atom name -> extension mask; an atom with no entry is logged once and
+    then stored as the empty mask."""
+
+    def get(self, name, default=0):
+        if name not in self:
+            log.debug("atom %s has no valuation entry; treating as empty", name)
+            self[name] = default
+        return self[name]
 
 
 def _reflexive_transitive_closure(
@@ -148,43 +169,65 @@ def _validate_preorder(
 # Model checking
 # ---------------------------------------------------------------------------
 
-def model_check(model: PreorderModel, f: Formula) -> frozenset[str]:
-    """The set of worlds satisfying f under the standard Kripke semantics."""
-    cache = model._cache
+def eval_on_frame(
+    succ: Sequence[int], env: dict[str, int], f: Formula, cache: Optional[dict] = None
+) -> int:
+    """Bit-parallel satisfaction set over a small frame.
+
+    ``succ[w]`` is the successor bitmask of world w and ``env`` maps atom
+    names to extension bitmasks; the result is the bitmask of [[f]].
+    """
+    if cache is None:
+        cache = {}
     hit = cache.get(f)
     if hit is not None:
         return hit
+    k = len(succ)
+    full = (1 << k) - 1
     if isinstance(f, Atom):
-        out = model.valuation.get(f.name)
-        if out is None:
-            if f.name not in model._warned:
-                model._warned.add(f.name)
-                log.debug("atom %s has no valuation entry; treating as empty", f.name)
-            out = frozenset()
+        out = env.get(f.name, 0)
     elif isinstance(f, Bottom):
-        out = frozenset()
+        out = 0
     elif isinstance(f, Top):
-        out = frozenset(model.worlds)
+        out = full
     elif isinstance(f, Not):
-        out = frozenset(model.worlds) - model_check(model, f.sub)
+        out = full ^ eval_on_frame(succ, env, f.sub, cache)
     elif isinstance(f, And):
-        out = model_check(model, f.left) & model_check(model, f.right)
+        out = eval_on_frame(succ, env, f.left, cache) & eval_on_frame(succ, env, f.right, cache)
     elif isinstance(f, Or):
-        out = model_check(model, f.left) | model_check(model, f.right)
+        out = eval_on_frame(succ, env, f.left, cache) | eval_on_frame(succ, env, f.right, cache)
     elif isinstance(f, Implies):
-        out = (frozenset(model.worlds) - model_check(model, f.left)) | model_check(model, f.right)
+        out = (full ^ eval_on_frame(succ, env, f.left, cache)) | eval_on_frame(succ, env, f.right, cache)
     elif isinstance(f, Iff):
-        a, b = model_check(model, f.left), model_check(model, f.right)
-        out = (a & b) | (frozenset(model.worlds) - a - b)
+        a = eval_on_frame(succ, env, f.left, cache)
+        b = eval_on_frame(succ, env, f.right, cache)
+        out = (a & b) | (full ^ (a | b))
     elif isinstance(f, Box):
-        sub = model_check(model, f.sub)
-        out = frozenset(w for w in model.worlds if model.successors(w) <= sub)
+        sub = eval_on_frame(succ, env, f.sub, cache)
+        out = 0
+        for w in range(k):
+            if succ[w] & ~sub == 0:
+                out |= 1 << w
     elif isinstance(f, Diamond):
-        sub = model_check(model, f.sub)
-        out = frozenset(w for w in model.worlds if model.successors(w) & sub)
+        sub = eval_on_frame(succ, env, f.sub, cache)
+        out = 0
+        for w in range(k):
+            if succ[w] & sub:
+                out |= 1 << w
     else:
-        raise ModelError(f"unknown formula node {f!r}")
+        raise ModelError(f"unknown node {f!r}")
     cache[f] = out
+    return out
+
+
+def model_check(model: PreorderModel, f: Formula) -> frozenset[str]:
+    """The set of worlds satisfying f under the standard Kripke semantics."""
+    out = model._sets.get(f)
+    if out is None:
+        # the mask's binary digits, least significant (the first world) first
+        bits = bin(eval_on_frame(model._masks, model._env, f, model._cache))[:1:-1]
+        out = frozenset(w for w, bit in zip(model.worlds, bits) if bit == "1")
+        model._sets[f] = out
     return out
 
 
@@ -213,22 +256,19 @@ class ClusterView:
 
 
 def clusters(model: PreorderModel) -> ClusterView:
-    groups: dict[str, set[str]] = {}
+    succ = model._succ
+    cluster_of: dict[str, int] = {}
+    ordered: list[frozenset[str]] = []
     for w in model.worlds:
-        rep = min(v for v in model.worlds if model.leq(w, v) and model.leq(v, w))
-        groups.setdefault(rep, set()).add(w)
-    ordered = [frozenset(groups[rep]) for rep in sorted(groups)]
-    leq = set()
-    for i, ci in enumerate(ordered):
-        for j, cj in enumerate(ordered):
-            if model.leq(min(ci), min(cj)):
-                leq.add((i, j))
-    final = tuple(
-        not any((i, j) in leq and i != j for j in range(len(ordered)))
-        for i in range(len(ordered))
-    )
-    cluster_of = {w: i for i, c in enumerate(ordered) for w in c}
-    return ClusterView(tuple(ordered), frozenset(leq), final, cluster_of)
+        if w not in cluster_of:
+            # worlds come in sorted order, so w is the least of a new cluster
+            cluster = frozenset(v for v in succ[w] if w in succ[v])
+            cluster_of.update(dict.fromkeys(cluster, len(ordered)))
+            ordered.append(cluster)
+    above = [{cluster_of[v] for v in succ[min(c)]} for c in ordered]
+    leq = frozenset((i, j) for i, js in enumerate(above) for j in js)
+    final = tuple(len(js) == 1 for js in above)
+    return ClusterView(tuple(ordered), leq, final, cluster_of)
 
 
 def cluster_sizes(model: PreorderModel) -> tuple[list[int], list[int]]:
@@ -389,6 +429,18 @@ def model_to_dict(model: PreorderModel) -> dict:
         "valuation": {a: sorted(ext) for a, ext in sorted(model.valuation.items())},
         "closure": "strict",
     }
+
+
+def model_from_masks(succ: Sequence[int], env: Mapping[str, int]) -> PreorderModel:
+    """The model on worlds w0, w1, ... with successor masks ``succ`` and atom
+    extension masks ``env``, as ``eval_on_frame`` reads them."""
+    worlds = [f"w{i}" for i in range(len(succ))]
+
+    def members(mask: int) -> list[str]:
+        return [w for i, w in enumerate(worlds) if mask >> i & 1]
+
+    order = {(a, b) for a, mask in zip(worlds, succ) for b in members(mask)}
+    return PreorderModel(worlds, order, {name: members(bits) for name, bits in env.items()})
 
 
 def model_from_dict(data: Mapping) -> PreorderModel:

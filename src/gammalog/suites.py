@@ -15,13 +15,16 @@ from . import engine, kripke, refine, smorynski
 from .engine import (
     ALL_LOGICS, Budget, Interpolant, Invalid, LogicId, NotValid, Satisfiable,
     Unsatisfiable, Valid, catalog, countermodel_search, equivalent,
-    eval_on_frame, find_interpolant, in_frame_class, parse_logic, sat, valid,
+    find_interpolant, in_frame_class, parse_logic, sat, valid,
 )
 from .frame_formulas import (
     OMEGA, RootedFrame, frame_formula, gamma, pattern_instance,
     relative_satisfaction_witness, substitute,
 )
-from .kripke import PreorderModel, find_p_morphism, is_confluent, model_check
+from .kripke import (
+    PreorderModel, eval_on_frame, find_p_morphism, is_confluent, model_check,
+    model_from_masks,
+)
 from .syntax import (
     And, Atom, Bottom, Box, Diamond, Formula, Not, Or, FALSE, TRUE,
     all_canonical_modalities, apply_prefix, atoms, boolean_subformula_closure,
@@ -61,19 +64,6 @@ def _frame_models(
                 succ[a] |= 1 << b
             for bits in itertools.product(range(1 << k), repeat=len(names)):
                 yield tuple(succ), dict(zip(names, bits))
-
-
-def _bits_to_model(succ: Sequence[int], env: dict[str, int]) -> PreorderModel:
-    k = len(succ)
-    worlds = [f"w{i}" for i in range(k)]
-    order = {
-        (worlds[a], worlds[b]) for a in range(k) for b in range(k) if succ[a] >> b & 1
-    }
-    valuation = {
-        name: [worlds[i] for i in range(k) if bits >> i & 1]
-        for name, bits in env.items()
-    }
-    return PreorderModel(worlds, order, valuation)
 
 
 def _spec_p_morphism_bits(
@@ -122,7 +112,7 @@ def suite_lemma23(scale: float = 1.0) -> tuple[bool, str]:
     for succ, env in _frame_models(max_worlds, ["p"]):
         k = len(succ)
         full = (1 << k) - 1
-        model = _bits_to_model(succ, env)
+        model = model_from_masks(succ, env)
         exts = [eval_on_frame(succ, env, f) for f in pool]
         morphism_memo: dict[tuple, bool] = {}
         for frame_index, frame in enumerate(targets):
@@ -156,7 +146,9 @@ def suite_lemma23(scale: float = 1.0) -> tuple[bool, str]:
                         disagreements.append((succ, env, frame, args, x))
                         if len(disagreements) > 3:
                             break
-                    # independent recomputation of both sides on a sample
+                    # recompute both sides on a sample: the substituted
+                    # formula directly on the model, and the p-morphism on
+                    # bitmasks without the kripke search
                     if checks % 997 == 0:
                         sampled_crosschecks += 1
                         direct = kripke.satisfies(model, f"w{x}", substitute(beta, args))
@@ -404,13 +396,13 @@ def suite_patterns(scale: float = 1.0) -> tuple[bool, str]:
     failures = []
     models: list[PreorderModel] = []
     for succ, env in _frame_models(max_k, ["p", "q"]):
-        models.append(_bits_to_model(succ, env))
+        models.append(model_from_masks(succ, env))
     if scale >= 1:
         # a deterministic slice of 5-world models
         count = 0
         for succ, env in _frame_models(5, ["p", "q"]):
             if len(succ) == 5 and (env["p"], env["q"]) in ((3, 24), (7, 16), (1, 30)):
-                models.append(_bits_to_model(succ, env))
+                models.append(model_from_masks(succ, env))
                 count += 1
     for model in models:
         view = kripke.clusters(model)

@@ -132,6 +132,23 @@ def test_smorynski_over_budget_exits_unknown(capsys, tmp_path):
     assert err == ""
 
 
+DEEP_INPUTS = {"not-x400": "~" * 400 + "p", "parens-x1200": "(" * 1200 + "p" + ")" * 1200}
+DEEP_ERROR = "formula nested too deeply (maximum recursion depth exceeded)"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("deep", sorted(DEEP_INPUTS))
+@pytest.mark.parametrize("command", [["parse"], ["check", "--logic", "S4"]], ids=["parse", "check"])
+def test_deep_formula_exits_unknown(capsys, command, deep, fmt):
+    code, out, err = run(capsys, "--format", fmt, *command, DEEP_INPUTS[deep])
+    assert code == 3
+    if fmt == "json":
+        assert json.loads(out) == {"v": 1, "error": DEEP_ERROR}
+    else:
+        assert out == f"error: {DEEP_ERROR}\n"
+    assert err == ""
+
+
 def test_catalog_command(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

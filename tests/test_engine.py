@@ -99,6 +99,29 @@ def test_sat_unknown_on_tiny_budget():
     assert result.reason
 
 
+def test_sat_never_caches_unknown(monkeypatch):
+    from gammalog import engine
+
+    # max_letters=1 skips the type space, so sat goes straight to the
+    # bounded enumeration, whose first deadline check is forced to expire
+    f = parse("p & <>~p & <>q")
+    budget = Budget(max_letters=1)
+    engine._SAT_CACHE.clear()
+
+    def expire(self, what):
+        raise engine.BudgetExceeded(f"time budget exceeded during {what}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine._Deadline, "check", expire)
+        first = sat(f, S4, budget)
+    assert isinstance(first, Unknown)
+    assert first.reason == "time budget exceeded during model enumeration"
+    again = sat(f, S4, budget)
+    assert isinstance(again, Satisfiable)
+    assert satisfies(again.model, again.world, f)
+    assert sat(f, S4, budget) is again
+
+
 # --- valid ----------------------------------------------------------------------
 
 def test_valid_t_axiom():

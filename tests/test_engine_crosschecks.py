@@ -1,9 +1,11 @@
 """Cross-validation of the engine's decision methods against each other.
 
-The structural cluster-formula analysis, the type-elimination cores, the
-bit-parallel frame evaluator and the reference model checker are separate
-implementations; these tests force them to agree on families where more
-than one of them is conclusive.
+The structural cluster-formula analysis, the type-elimination core and
+bounded enumeration are separate decision methods; these tests force them
+to agree on families where more than one of them is conclusive. The
+package has one Kripke evaluator (``kripke.eval_on_frame``, behind
+``model_check`` too); it is checked against the set-based reference
+semantics in ``kripke_reference``, which shares no code with it.
 """
 
 import itertools
@@ -16,8 +18,11 @@ from gammalog.engine import (
     countermodel_search, eval_on_frame, in_frame_class, parse_logic, sat, valid,
 )
 from gammalog.frame_formulas import OMEGA, gamma
-from gammalog.kripke import PreorderModel, model_check, satisfies
-from gammalog.syntax import Atom, Box, Diamond, Not, parse, pretty
+from gammalog.kripke import PreorderModel, model_check, model_from_masks, satisfies
+from gammalog.syntax import (
+    FALSE, TRUE, And, Atom, Box, Diamond, Iff, Implies, Not, Or, parse, pretty,
+)
+from kripke_reference import model_check_reference
 
 S4 = parse_logic("S4")
 S42 = parse_logic("S4.2")
@@ -90,6 +95,18 @@ def test_s42_sat_implies_s4_sat_on_two_atom_samples():
                 assert countermodel_search(Not(f), logic, 4) is None, text
 
 
+# every connective; r never has a valuation
+_formulas = st.recursive(
+    st.sampled_from([Atom("p"), Atom("q"), Atom("r"), TRUE, FALSE]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Box, sub), st.builds(Diamond, sub),
+        st.builds(And, sub, sub), st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub), st.builds(Iff, sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
 @st.composite
 def _frame_and_formula(draw):
     k = draw(st.integers(min_value=1, max_value=4))
@@ -101,28 +118,39 @@ def _frame_and_formula(draw):
         "p": draw(st.integers(min_value=0, max_value=(1 << k) - 1)),
         "q": draw(st.integers(min_value=0, max_value=(1 << k) - 1)),
     }
-    f = draw(st.sampled_from([
+    f = draw(st.one_of(st.sampled_from([
         parse("[](p -> q)"), parse("<>p & ~q"), parse("[]<>(p & q)"),
         parse("<>[]p -> []<>p"), parse("p <-> ~q"), parse("[](p | ~p)"),
-    ]))
+    ]), _formulas))
     return succ, env, f
 
 
+@st.composite
+def _named_model_and_formula(draw):
+    # arbitrary world ids, an arbitrary relation closed by closure="auto",
+    # and a valuation that may leave out p or q
+    names = draw(st.lists(st.text("abxyz019_", min_size=1, max_size=3),
+                          min_size=1, max_size=6, unique=True))
+    order = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                          max_size=12))
+    valuation = draw(st.dictionaries(st.sampled_from(["p", "q"]),
+                                     st.lists(st.sampled_from(names))))
+    return PreorderModel(names, order, valuation, closure="auto"), draw(_formulas)
+
+
 @settings(max_examples=150, deadline=None)
-@given(_frame_and_formula())
-def test_bit_evaluator_matches_reference_model_checker(case):
+@given(_frame_and_formula(), _named_model_and_formula())
+def test_bit_evaluator_matches_reference_model_checker(case, named):
     succ, env, f = case
-    k = len(succ)
-    worlds = [f"w{i}" for i in range(k)]
-    model = PreorderModel(
-        worlds,
-        {(worlds[a], worlds[b]) for a in range(k) for b in range(k) if succ[a] >> b & 1},
-        {name: [worlds[i] for i in range(k) if bits >> i & 1]
-         for name, bits in env.items()},
-    )
+    worlds = [f"w{i}" for i in range(len(succ))]
     bits = eval_on_frame(succ, env, f)
-    reference = model_check(model, f)
-    assert {w for i, w in enumerate(worlds) if bits >> i & 1} == set(reference)
+    reference = model_check_reference(model_from_masks(succ, env), f)
+    assert {w for i, w in enumerate(worlds) if bits >> i & 1} == reference
+    model, g = named
+    expected = model_check_reference(model, g)
+    assert model_check(model, g) == expected
+    for w in model.worlds:
+        assert satisfies(model, w, g) == (w in expected)
 
 
 def test_type_space_truth_matches_model_checking_on_extracted_model():

@@ -8,10 +8,13 @@ from gammalog.frame_formulas import (
     gamma, pattern_instance, relative_satisfaction_witness, satisfies_relative,
     substitute, substitution_arity,
 )
-from gammalog.kripke import PreorderModel, find_p_morphism, model_check
-from gammalog.syntax import (
-    And, Atom, Box, FormulaError, Not, Top, atoms, parse, pretty,
+from gammalog.kripke import (
+    PreorderModel, eval_on_frame, find_p_morphism, model_check, model_from_masks,
 )
+from gammalog.syntax import (
+    FALSE, TRUE, And, Atom, Box, Diamond, FormulaError, Not, Top, atoms, parse, pretty,
+)
+from kripke_reference import model_check_reference
 
 p0, p1 = Atom("p0"), Atom("p1")
 
@@ -125,6 +128,33 @@ def test_substitution_commutes_with_model_checking(case):
         "p1": model_check(model, args[1]),
     })
     assert direct == model_check(revalued, chi)
+
+
+def test_criterion1_pool_substitutions_match_the_reference_semantics():
+    # criterion 1 reads [[beta(args)]] off beta evaluated on the frame with
+    # p_i revalued to [[args[i]]]; check that substitution lemma against the
+    # set-based reference for every pool substitution into the frame formula
+    # of every rooted target of at most 2 points, on every frame of at most
+    # 3 worlds and every valuation of p (criterion 1's configuration below
+    # scale 1)
+    from gammalog.suites import _frame_models, _labeled_rooted_frames
+
+    p = Atom("p")
+    pool = [FALSE, TRUE, p, Not(p), Box(p), Diamond(p)]
+    betas = [(frame, frame_formula(frame)) for frame in _labeled_rooted_frames(2)]
+    checked = 0
+    for succ, env in _frame_models(3, ["p"]):
+        model = model_from_masks(succ, env)
+        exts = [model_check_reference(model, arg) for arg in pool]
+        masks = [sum(1 << model.worlds.index(w) for w in ext) for ext in exts]
+        for frame, beta in betas:
+            for combo in itertools.product(range(len(pool)), repeat=frame.size):
+                direct = model_check_reference(model, substitute(beta, [pool[c] for c in combo]))
+                revalued = {f"p{i}": masks[c] for i, c in enumerate(combo)}
+                bits = eval_on_frame(succ, revalued, beta)
+                assert direct == {w for i, w in enumerate(model.worlds) if bits >> i & 1}
+                checked += 1
+    assert checked == 6708
 
 
 # --- relative satisfaction -------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from gammalog.kripke import (
     model_check, model_from_dict,
 )
 from gammalog.syntax import Atom, Box, parse
+from kripke_reference import clusters_reference
 
 
 def total(worlds):
@@ -86,6 +88,55 @@ def test_unknown_atom_is_empty():
     m = PreorderModel(["w"], [("w", "w")], {})
     assert model_check(m, parse("q")) == frozenset()
     assert model_check(m, parse("~q")) == {"w"}
+
+
+def test_unknown_atom_is_logged_once_per_model(caplog):
+    caplog.set_level(logging.DEBUG, logger="gammalog.kripke")
+    first = PreorderModel(["a", "b"], [("a", "b")], {"p": ["b"]}, closure="auto")
+    second = PreorderModel(["w"], [("w", "w")], {})
+    for f in ("q", "~q", "[]q & p", "<>(q | p)", "q -> q"):
+        model_check(first, parse(f))
+    assert len(caplog.records) == 1
+    model_check(second, parse("q & r"))
+    model_check(second, parse("~q | <>r"))
+    messages = [record.getMessage() for record in caplog.records]
+    assert messages.count("atom q has no valuation entry; treating as empty") == 2
+    assert messages.count("atom r has no valuation entry; treating as empty") == 1
+    assert len(messages) == 3
+
+
+def _same_view(model):
+    view, reference = clusters(model), clusters_reference(model)
+    assert view == reference
+    assert view.cluster_of == reference.cluster_of
+
+
+def test_clusters_match_the_reference_on_every_four_world_preorder():
+    from gammalog.engine import labeled_preorders
+
+    worlds = ["w0", "w1", "w2", "w3"]
+    count = 0
+    for rel in labeled_preorders(4):
+        order = {(worlds[a], worlds[b]) for a, b in rel}
+        for closure in ("strict", "auto"):
+            _same_view(PreorderModel(worlds, order, {}, closure=closure))
+        count += 1
+    assert count == 355
+
+
+@st.composite
+def _random_orders(draw):
+    size = draw(st.integers(min_value=2, max_value=8))
+    worlds = draw(st.permutations([f"x{i}" for i in range(size)]))
+    edges = draw(st.sets(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds)),
+                         max_size=2 * size))
+    return PreorderModel(worlds, edges, {}, closure="auto")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_orders())
+def test_clusters_match_the_reference_on_random_models(model):
+    _same_view(model)
 
 
 def test_clusters_single_final():

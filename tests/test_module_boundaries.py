@@ -1,6 +1,8 @@
-"""The package's modules use each other only through public names."""
+"""The package's modules use each other only through public names, and
+every name that the benchmark's trace harness wraps exists."""
 
 import ast
+import importlib
 import pathlib
 
 import gammalog
@@ -42,3 +44,22 @@ def _private_uses(path: pathlib.Path) -> list[str]:
 def test_no_cross_module_private_access():
     found = [use for path in sorted(PACKAGE.glob("*.py")) for use in _private_uses(path)]
     assert not found, found
+
+
+def test_trace_harness_targets_resolve():
+    # perfbench/layertrace.py wraps these names from outside the package;
+    # read its TARGETS without importing it
+    path = PACKAGE.parents[1] / "perfbench" / "layertrace.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [targets] = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    assert len(targets) == 21
+    for module, attribute_path, _ in targets:
+        obj = importlib.import_module(f"gammalog.{module}")
+        for part in attribute_path.split("."):
+            obj = getattr(obj, part, None)
+            assert obj is not None, f"{module}.{attribute_path}"
+        assert callable(obj), f"{module}.{attribute_path}"
