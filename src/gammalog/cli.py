@@ -118,7 +118,9 @@ def cmd_check(args) -> int:
 def cmd_countermodel(args) -> int:
     logic = _logic(args)
     f = _formula(args.formula)
-    bound = args.max_worlds or 5
+    bound = args.max_worlds
+    if bound < 1:
+        raise _UsageError("--max-worlds must be at least 1")
     found = engine.countermodel_search(f, logic, bound)
     if found is None:
         _emit(args, {"found": False, "bound": bound},

@@ -23,9 +23,12 @@ method that is sound for the whole frame class:
    final for the (w,w) logics and otherwise feed a cluster-refinement
    attempt whose output is re-verified against the frame class.
 3. Bounded enumeration of class models (also the countermodel oracle).
-   It and the interpolant fingerprints run ``kripke.eval_on_frame``, the
-   package's one Kripke evaluator. ``TypeSpace.mask`` evaluates the
-   closure propositionally over letter assignments, box letters as leaves.
+   It and the interpolant fingerprints run ``kripke.eval_sliced``, which
+   evaluates a frame under all valuations at once, one bit per valuation;
+   every hit is rebuilt as a model and checked again by ``model_check``,
+   which runs ``kripke.eval_on_frame`` on one model at a time.
+   ``TypeSpace.mask`` evaluates the closure propositionally over letter
+   assignments, box letters as leaves.
 
 Anything undecided within budget is reported as Unknown, never guessed.
 """
@@ -41,6 +44,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import kripke
 from .frame_formulas import OMEGA, RootedFrame
+# eval_on_frame is imported for callers of engine.eval_on_frame
 from .kripke import (
     PreorderModel, eval_on_frame, generated_submodel, is_confluent, model_from_masks,
 )
@@ -506,29 +510,27 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
 
 @lru_cache(maxsize=None)
 def _labeled_posets(b: int) -> tuple[frozenset[tuple[int, int]], ...]:
-    """All strict partial orders on range(b), as transitive irreflexive sets."""
-    posets: list[set[tuple[int, int]]] = [set()]
-    for new in range(b):
-        extended = []
-        existing = list(range(new))
-        for rel in posets:
-            for down in _subsets(existing):
-                dset = set(down)
-                if any((d2, d) in rel and d2 not in dset for d in dset for d2 in existing):
+    """All strict partial orders on range(b), as transitive irreflexive sets:
+    each order on range(b-1) extended by point b-1 in every consistent way."""
+    if b == 0:
+        return (frozenset(),)
+    new = b - 1
+    existing = list(range(new))
+    out = []
+    for rel in _labeled_posets(new):
+        for down in _subsets(existing):
+            dset = set(down)
+            if any((d2, d) in rel and d2 not in dset for d in dset for d2 in existing):
+                continue
+            ups = [u for u in existing if u not in dset]
+            for up in _subsets(ups):
+                uset = set(up)
+                if any((u, u2) in rel and u2 not in uset for u in uset for u2 in ups):
                     continue
-                ups = [u for u in existing if u not in dset]
-                for up in _subsets(ups):
-                    uset = set(up)
-                    if any((u, u2) in rel and u2 not in uset for u in uset for u2 in ups):
-                        continue
-                    if any((d, u) not in rel for d in dset for u in uset):
-                        continue
-                    new_rel = set(rel)
-                    new_rel |= {(d, new) for d in dset}
-                    new_rel |= {(new, u) for u in uset}
-                    extended.append(new_rel)
-        posets = extended
-    return tuple(frozenset(r) for r in posets)
+                if any((d, u) not in rel for d in dset for u in uset):
+                    continue
+                out.append(rel | {(d, new) for d in dset} | {(new, u) for u in uset})
+    return tuple(out)
 
 
 def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -540,28 +542,38 @@ def labeled_preorders(k: int) -> Iterator[frozenset[tuple[int, int]]]:
     """Every preorder on range(k), once each: a partition into clusters
     times a strict partial order on the clusters."""
     for partition in _set_partitions(tuple(range(k))):
-        block_of = {x: bi for bi, block in enumerate(partition) for x in block}
+        # the pairs from block i to block j
+        cross = {
+            (i, j): [(x, y) for x in bi for y in bj]
+            for i, bi in enumerate(partition) for j, bj in enumerate(partition)
+        }
+        within = [pair for i in range(len(partition)) for pair in cross[i, i]]
         for poset in _labeled_posets(len(partition)):
-            yield frozenset(
-                (x, y) for x in range(k) for y in range(k)
-                if block_of[x] == block_of[y] or (block_of[x], block_of[y]) in poset
-            )
+            yield frozenset(itertools.chain(within, *map(cross.__getitem__, poset)))
 
 
 @lru_cache(maxsize=None)
 def canonical_frames(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
     """Preorders on range(k), one representative per isomorphism class,
-    in canonical adjacency-encoding order."""
-    seen = set()
+    in canonical adjacency-encoding order.
+
+    Each class is built once, from its first labelled preorder: all its
+    permutation images are marked seen, and the least image as a sorted
+    pair list is the representative. Pair (a, b) is bit K-1-(a*k+b) of an
+    image's code (K = k*k), so the least sorted pair list has the greatest
+    code.
+    """
+    bit = {(a, b): 1 << (k * k - 1 - a * k - b) for a in range(k) for b in range(k)}
+    # the bit of each pair's image under each permutation
+    permuted = [{(a, b): bit[p[a], p[b]] for a, b in bit} for p in itertools.permutations(range(k))]
+    seen: set[int] = set()
     out = []
-    perms = list(itertools.permutations(range(k)))
     for rel in labeled_preorders(k):
-        canon = min(
-            tuple(sorted((p[a], p[b]) for a, b in rel)) for p in perms
-        )
-        if canon not in seen:
-            seen.add(canon)
-            out.append(frozenset(canon))
+        if sum(map(bit.__getitem__, rel)) not in seen:
+            images = [sum(map(image.__getitem__, rel)) for image in permuted]
+            seen.update(images)
+            least = max(images)
+            out.append(frozenset(pair for pair, code in bit.items() if least & code))
     out.sort(key=lambda rel: sorted(rel))
     return tuple(out)
 
@@ -580,6 +592,25 @@ def _class_frames(k: int, lam: str, m: Bound, n: Bound) -> tuple[tuple[int, ...]
     return tuple(out)
 
 
+# An int of the sliced evaluator holds at most 2^_SLICE_BITS valuations.
+_SLICE_BITS = 12
+
+
+def _sliced_atoms(names: Sequence[str], k: int) -> tuple[dict[str, tuple[int, ...]], int]:
+    """Atom values on k worlds under every valuation of ``names``, one int
+    per world and one bit per valuation, as ``kripke.eval_sliced`` reads
+    them, and the mask of all valuations. Valuation v gives the i-th name
+    the extension mask in bits k*(len(names)-1-i) .. k*(len(names)-i)-1 of
+    v, so the first name is most significant and ascending v is
+    ``itertools.product`` order."""
+    width = k * len(names)
+    env = {
+        name: tuple(_column(k * (len(names) - 1 - i) + w, width) for w in range(k))
+        for i, name in enumerate(names)
+    }
+    return env, (1 << (1 << width)) - 1
+
+
 def _frame_walk(
     f: Formula,
     logic: LogicId,
@@ -588,22 +619,42 @@ def _frame_walk(
     deadline: Optional[_Deadline] = None,
 ) -> Optional[tuple[PreorderModel, str]]:
     """Scan class models in canonical order for a world refuting f
-    (want='refute') or satisfying it (want='satisfy')."""
+    (want='refute') or satisfying it (want='satisfy').
+
+    Valuations of k worlds are numbered with the first sorted atom in the
+    most significant k bits, so ascending index is ``itertools.product``
+    order. The trailing atoms that fit in one slice are evaluated all at
+    once by ``kripke.eval_sliced``; the leading atoms are looped in product
+    order. The first hit is the lowest set bit over all worlds, at its
+    lowest world.
+    """
     names = sorted(atoms(f))
     for k in range(1, max_worlds + 1):
-        full = (1 << k) - 1
+        n_lead = max(0, len(names) - _SLICE_BITS // k)
+        lead, trail = names[:n_lead], names[n_lead:]
+        columns, full = _sliced_atoms(trail, k)
         for succ in _class_frames(k, logic.lam, logic.m, logic.n):
-            if deadline:
-                deadline.check("model enumeration")
-            for bits in itertools.product(range(1 << k), repeat=len(names)):
-                env = dict(zip(names, bits))
-                sat_bits = eval_on_frame(succ, env, f)
-                target = (full ^ sat_bits) if want == "refute" else sat_bits
-                if target:
-                    world = f"w{(target & -target).bit_length() - 1}"
+            for bits in itertools.product(range(1 << k), repeat=len(lead)):
+                if deadline:
+                    deadline.check("model enumeration")
+                env = {
+                    name: tuple(full if b >> w & 1 else 0 for w in range(k))
+                    for name, b in zip(lead, bits)
+                }
+                env.update(columns)
+                sat_bits = kripke.eval_sliced(succ, env, f, full)
+                target = sat_bits if want == "satisfy" else [full ^ x for x in sat_bits]
+                hits = 0
+                for x in target:
+                    hits |= x
+                while hits:
+                    v = (hits & -hits).bit_length() - 1
+                    hits &= hits - 1
+                    world = f"w{next(w for w, x in enumerate(target) if x >> v & 1)}"
+                    trail_bits = [v >> k * i & (1 << k) - 1 for i in reversed(range(len(trail)))]
                     # rebuild the hit as a validated preorder model and check
                     # it again there, together with class membership
-                    model = model_from_masks(succ, env)
+                    model = model_from_masks(succ, dict(zip(names, bits + tuple(trail_bits))))
                     holds = kripke.satisfies(model, world, f)
                     if holds == (want == "satisfy") and in_frame_class(model, logic):
                         return model, world
@@ -908,20 +959,18 @@ def _candidate_stream(names: Sequence[str], max_candidates: int) -> Iterator[For
 
 
 def _fingerprint(f: Formula, zoo: Sequence[tuple]) -> tuple:
-    return tuple(eval_on_frame(succ, env, f, cache) for succ, env, cache in zoo)
+    return tuple(
+        kripke.eval_sliced(succ, env, f, full, cache) for succ, env, full, cache in zoo
+    )
 
 
 def _fingerprint_zoo(names: Sequence[str]) -> list[tuple]:
-    """(successor masks, valuation, cache) for each valuation of the first
-    two atoms on four small frames: one world, a two-chain, a two-cluster
-    and a fork."""
+    """(successor masks, sliced valuation, all-valuations mask, cache) for
+    four small frames: one world, a two-chain, a two-cluster and a fork.
+    Each frame is evaluated under every valuation of the first two atoms."""
     frames = [(0b1,), (0b11, 0b10), (0b11, 0b11), (0b111, 0b010, 0b100)]
     pick = sorted(names)[:2]
-    return [
-        (succ, dict(zip(pick, bits)), {})
-        for succ in frames
-        for bits in itertools.product(range(1 << len(succ)), repeat=len(pick))
-    ]
+    return [(succ, *_sliced_atoms(pick, len(succ)), {}) for succ in frames]
 
 
 def find_interpolant(

@@ -3,12 +3,14 @@
 Models are immutable after construction. World ids are opaque strings and
 every deterministic enumeration iterates them in lexicographic order.
 
-``eval_on_frame`` is the package's one Kripke evaluator, on successor
-bitmasks (bit i is the i-th world in sorted order). A ``PreorderModel``
-keeps those masks, and ``model_check`` reads the evaluator's result back as
-a set of world ids. Unknown atoms evaluate to the empty set (logged once
-per model) because the closure machinery routinely checks formulas over
-partially valued models.
+There are two Kripke evaluators, both on successor bitmasks (bit i is the
+i-th world in sorted order). ``eval_on_frame`` evaluates one model at a
+time: a ``PreorderModel`` keeps those masks, and ``model_check`` reads the
+evaluator's result back as a set of world ids. ``eval_sliced`` evaluates
+all valuations of a small frame at once, one bit per valuation, for the
+bounded model search and the interpolant fingerprints. Unknown atoms
+evaluate to the empty set (logged once per model) because the closure
+machinery routinely checks formulas over partially valued models.
 """
 
 from __future__ import annotations
@@ -214,6 +216,58 @@ def eval_on_frame(
         for w in range(k):
             if succ[w] & sub:
                 out |= 1 << w
+    else:
+        raise ModelError(f"unknown node {f!r}")
+    cache[f] = out
+    return out
+
+
+def eval_sliced(
+    succ: Sequence[int], env: Mapping[str, tuple[int, ...]], f: Formula, full: int,
+    cache: Optional[dict] = None,
+) -> tuple[int, ...]:
+    """Satisfaction of f on one small frame under many valuations at once.
+
+    ``succ`` is as for ``eval_on_frame``. Each formula becomes a tuple of
+    one int per world whose bit v says whether it holds there under
+    valuation v: ``env[name]`` is that tuple for an atom, and ``full`` has a
+    bit for every valuation. An atom missing from ``env`` holds nowhere.
+    """
+    if cache is None:
+        cache = {}
+    hit = cache.get(f)
+    if hit is not None:
+        return hit
+    if isinstance(f, Atom):
+        out = env.get(f.name, (0,) * len(succ))
+    elif isinstance(f, Bottom):
+        out = (0,) * len(succ)
+    elif isinstance(f, Top):
+        out = (full,) * len(succ)
+    elif isinstance(f, Not):
+        out = tuple(full ^ a for a in eval_sliced(succ, env, f.sub, full, cache))
+    elif isinstance(f, (And, Or, Implies, Iff)):
+        left = eval_sliced(succ, env, f.left, full, cache)
+        right = eval_sliced(succ, env, f.right, full, cache)
+        if isinstance(f, And):
+            out = tuple(a & b for a, b in zip(left, right))
+        elif isinstance(f, Or):
+            out = tuple(a | b for a, b in zip(left, right))
+        elif isinstance(f, Implies):
+            out = tuple((full ^ a) | b for a, b in zip(left, right))
+        else:
+            out = tuple(full ^ (a ^ b) for a, b in zip(left, right))
+    elif isinstance(f, (Box, Diamond)):
+        sub = eval_sliced(succ, env, f.sub, full, cache)
+        box = isinstance(f, Box)
+        cells = []
+        for mask in succ:
+            acc = full if box else 0
+            for v, value in enumerate(sub):
+                if mask >> v & 1:
+                    acc = acc & value if box else acc | value
+            cells.append(acc)
+        out = tuple(cells)
     else:
         raise ModelError(f"unknown node {f!r}")
     cache[f] = out

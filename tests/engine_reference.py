@@ -1,0 +1,76 @@
+"""Reference frame enumeration for the tests, one valuation at a time.
+
+``canonical_frames_reference`` picks each isomorphism class's
+representative as the least of all permutation images of every labelled
+preorder. ``frame_walk_reference`` scans the class frames in that order and
+runs ``eval_on_frame`` once per valuation, in ``itertools.product`` order,
+re-checking each hit on a validated model. ``fingerprint_reference`` is the
+interpolant fingerprint on one ``eval_on_frame`` call per frame and
+valuation of the first two atoms, over ``fingerprint_zoo_reference``.
+"""
+
+import itertools
+from functools import lru_cache
+
+from gammalog import kripke
+from gammalog.engine import in_frame_class, labeled_preorders
+from gammalog.kripke import eval_on_frame, model_from_masks
+from gammalog.syntax import atoms
+
+
+@lru_cache(maxsize=None)
+def canonical_frames_reference(k):
+    seen = set()
+    out = []
+    perms = list(itertools.permutations(range(k)))
+    for rel in labeled_preorders(k):
+        canon = min(tuple(sorted((p[a], p[b]) for a, b in rel)) for p in perms)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(frozenset(canon))
+    out.sort(key=lambda rel: sorted(rel))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def class_frames_reference(k, logic):
+    out = []
+    for rel in canonical_frames_reference(k):
+        succ = [0] * k
+        for a, b in rel:
+            succ[a] |= 1 << b
+        if in_frame_class(model_from_masks(succ, {}), logic):
+            out.append(tuple(succ))
+    return tuple(out)
+
+
+def frame_walk_reference(f, logic, max_worlds, want):
+    names = sorted(atoms(f))
+    for k in range(1, max_worlds + 1):
+        full = (1 << k) - 1
+        for succ in class_frames_reference(k, logic):
+            for bits in itertools.product(range(1 << k), repeat=len(names)):
+                env = dict(zip(names, bits))
+                sat_bits = eval_on_frame(succ, env, f)
+                target = (full ^ sat_bits) if want == "refute" else sat_bits
+                if target:
+                    world = f"w{(target & -target).bit_length() - 1}"
+                    model = model_from_masks(succ, env)
+                    holds = kripke.satisfies(model, world, f)
+                    if holds == (want == "satisfy") and in_frame_class(model, logic):
+                        return model, world
+    return None
+
+
+def fingerprint_zoo_reference(names):
+    frames = [(0b1,), (0b11, 0b10), (0b11, 0b11), (0b111, 0b010, 0b100)]
+    pick = sorted(names)[:2]
+    return [
+        (succ, dict(zip(pick, bits)), {})
+        for succ in frames
+        for bits in itertools.product(range(1 << len(succ)), repeat=len(pick))
+    ]
+
+
+def fingerprint_reference(f, zoo):
+    return tuple(eval_on_frame(succ, env, f, cache) for succ, env, cache in zoo)

@@ -74,6 +74,16 @@ def test_countermodel_command(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_countermodel_bound_below_one_is_a_usage_error(capsys, bound, fmt):
+    code, out, err = run(capsys, "--format", fmt, "countermodel", "--logic", "S4",
+                         "--max-worlds", bound, "<>[]p -> []<>p")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-worlds must be at least 1\n"
+
+
 def test_interpolate_command(capsys):
     code, out, _ = run(capsys, "interpolate", "--logic", "G(Int,2,2)", "p & q", "p | r")
     assert code == 0
