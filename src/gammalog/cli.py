@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import engine, kripke, refine, smorynski, suites
@@ -311,7 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-worlds", type=int, default=None,
                        help="cap on model enumeration size")
         p.add_argument("--time-budget", type=float, default=None,
-                       help="soft wall-clock budget in seconds")
+                       help="wall-clock limit in seconds for each engine call, "
+                            "checked during model enumeration (default 30); a call "
+                            "past it answers Unknown, exit 3. It does not bound "
+                            "the whole command")
 
     p = sub.add_parser("parse", help="parse and reprint a formula")
     p.add_argument("formula")
@@ -372,10 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs far more than a parse, so build it once
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -23,10 +23,11 @@ method that is sound for the whole frame class:
    final for the (w,w) logics and otherwise feed a cluster-refinement
    attempt whose output is re-verified against the frame class.
 3. Bounded enumeration of class models (also the countermodel oracle).
-   It and the interpolant fingerprints run ``kripke.eval_sliced``, which
-   evaluates a frame under all valuations at once, one bit per valuation;
-   every hit is rebuilt as a model and checked again by ``model_check``,
-   which runs ``kripke.eval_on_frame`` on one model at a time.
+   It and the interpolant fingerprints run ``kripke.eval_on_frame``, the
+   one Kripke evaluator, on a frame with one copy per valuation, so a
+   frame is evaluated under all valuations at once; every hit is rebuilt
+   as a model and checked again by ``model_check``, which runs the same
+   evaluator on that one model.
    ``TypeSpace.mask`` evaluates the closure propositionally over letter
    assignments, box letters as leaves.
 
@@ -44,9 +45,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import kripke
 from .frame_formulas import OMEGA, RootedFrame
-# eval_on_frame is imported for callers of engine.eval_on_frame
 from .kripke import (
-    PreorderModel, eval_on_frame, generated_submodel, is_confluent, model_from_masks,
+    PreorderModel, eval_on_frame, generated_submodel, is_confluent, model_from_masks, tile,
 )
 from .syntax import (
     And, Atom, Bottom, Box, Diamond, Formula, Iff, Implies, Not, Or, Top,
@@ -592,23 +592,25 @@ def _class_frames(k: int, lam: str, m: Bound, n: Bound) -> tuple[tuple[int, ...]
     return tuple(out)
 
 
-# An int of the sliced evaluator holds at most 2^_SLICE_BITS valuations.
+# One evaluation holds at most 2^_SLICE_BITS valuations, one copy each.
 _SLICE_BITS = 12
 
 
-def _sliced_atoms(names: Sequence[str], k: int) -> tuple[dict[str, tuple[int, ...]], int]:
-    """Atom values on k worlds under every valuation of ``names``, one int
-    per world and one bit per valuation, as ``kripke.eval_sliced`` reads
-    them, and the mask of all valuations. Valuation v gives the i-th name
-    the extension mask in bits k*(len(names)-1-i) .. k*(len(names)-i)-1 of
-    v, so the first name is most significant and ascending v is
-    ``itertools.product`` order."""
-    width = k * len(names)
-    env = {
-        name: tuple(_column(k * (len(names) - 1 - i) + w, width) for w in range(k))
-        for i, name in enumerate(names)
-    }
-    return env, (1 << (1 << width)) - 1
+@lru_cache(maxsize=64)
+def _sliced_atoms(n: int, k: int) -> tuple[tuple[int, ...], int]:
+    """The extensions of n atoms on k worlds under all 2^(k*n) valuations,
+    valuation v in copy v as ``kripke.eval_on_frame`` packs copies, and the
+    int with bit 0 of every copy set. Valuation v gives the i-th atom the
+    extension mask in bits k*(n-1-i) .. k*(n-i)-1 of v, so the first atom
+    is most significant and ascending v is ``itertools.product`` order."""
+    stride = k + 1
+    columns = []
+    for i in range(n):
+        # runs of `run` copies share atom i's extension; 2^k runs cycle
+        run = 1 << k * (n - 1 - i)
+        cycle = sum(tile(ext, run, stride) << ext * run * stride for ext in range(1 << k))
+        columns.append(tile(cycle, 1 << k * i, run * stride << k))
+    return tuple(columns), tile(1, 1 << k * n, stride)
 
 
 def _frame_walk(
@@ -624,40 +626,35 @@ def _frame_walk(
     Valuations of k worlds are numbered with the first sorted atom in the
     most significant k bits, so ascending index is ``itertools.product``
     order. The trailing atoms that fit in one slice are evaluated all at
-    once by ``kripke.eval_sliced``; the leading atoms are looped in product
-    order. The first hit is the lowest set bit over all worlds, at its
-    lowest world.
+    once, valuation v in copy v of the frame; the leading atoms are looped
+    in product order. The first hit is the lowest set bit, in the lowest
+    copy at its lowest world.
     """
     names = sorted(atoms(f))
     for k in range(1, max_worlds + 1):
         n_lead = max(0, len(names) - _SLICE_BITS // k)
         lead, trail = names[:n_lead], names[n_lead:]
-        columns, full = _sliced_atoms(trail, k)
+        columns, ones = _sliced_atoms(len(trail), k)
+        copies, stride, full = 1 << k * len(trail), k + 1, ones * ((1 << k) - 1)
         for succ in _class_frames(k, logic.lam, logic.m, logic.n):
             for bits in itertools.product(range(1 << k), repeat=len(lead)):
                 if deadline:
                     deadline.check("model enumeration")
-                env = {
-                    name: tuple(full if b >> w & 1 else 0 for w in range(k))
-                    for name, b in zip(lead, bits)
-                }
-                env.update(columns)
-                sat_bits = kripke.eval_sliced(succ, env, f, full)
-                target = sat_bits if want == "satisfy" else [full ^ x for x in sat_bits]
-                hits = 0
-                for x in target:
-                    hits |= x
+                env = {name: b * ones for name, b in zip(lead, bits)}
+                env.update(zip(trail, columns))
+                sat_bits = eval_on_frame(succ, env, f, None, copies)
+                hits = sat_bits if want == "satisfy" else full ^ sat_bits
                 while hits:
-                    v = (hits & -hits).bit_length() - 1
-                    hits &= hits - 1
-                    world = f"w{next(w for w, x in enumerate(target) if x >> v & 1)}"
+                    v, w = divmod((hits & -hits).bit_length() - 1, stride)
+                    # a hit that fails its re-check skips the rest of its copy
+                    hits &= -1 << (v + 1) * stride
                     trail_bits = [v >> k * i & (1 << k) - 1 for i in reversed(range(len(trail)))]
                     # rebuild the hit as a validated preorder model and check
                     # it again there, together with class membership
                     model = model_from_masks(succ, dict(zip(names, bits + tuple(trail_bits))))
-                    holds = kripke.satisfies(model, world, f)
+                    holds = kripke.satisfies(model, f"w{w}", f)
                     if holds == (want == "satisfy") and in_frame_class(model, logic):
-                        return model, world
+                        return model, f"w{w}"
     return None
 
 
@@ -960,17 +957,21 @@ def _candidate_stream(names: Sequence[str], max_candidates: int) -> Iterator[For
 
 def _fingerprint(f: Formula, zoo: Sequence[tuple]) -> tuple:
     return tuple(
-        kripke.eval_sliced(succ, env, f, full, cache) for succ, env, full, cache in zoo
+        eval_on_frame(succ, env, f, cache, copies) for succ, env, copies, cache in zoo
     )
 
 
 def _fingerprint_zoo(names: Sequence[str]) -> list[tuple]:
-    """(successor masks, sliced valuation, all-valuations mask, cache) for
-    four small frames: one world, a two-chain, a two-cluster and a fork.
-    Each frame is evaluated under every valuation of the first two atoms."""
+    """(successor masks, valuations as copies, copy count, cache) for four
+    small frames: one world, a two-chain, a two-cluster and a fork. Each
+    frame is evaluated under every valuation of the first two atoms."""
     frames = [(0b1,), (0b11, 0b10), (0b11, 0b11), (0b111, 0b010, 0b100)]
     pick = sorted(names)[:2]
-    return [(succ, *_sliced_atoms(pick, len(succ)), {}) for succ in frames]
+    return [
+        (succ, dict(zip(pick, _sliced_atoms(len(pick), len(succ))[0])),
+         1 << len(succ) * len(pick), {})
+        for succ in frames
+    ]
 
 
 def find_interpolant(

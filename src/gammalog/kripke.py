@@ -3,14 +3,15 @@
 Models are immutable after construction. World ids are opaque strings and
 every deterministic enumeration iterates them in lexicographic order.
 
-There are two Kripke evaluators, both on successor bitmasks (bit i is the
-i-th world in sorted order). ``eval_on_frame`` evaluates one model at a
-time: a ``PreorderModel`` keeps those masks, and ``model_check`` reads the
-evaluator's result back as a set of world ids. ``eval_sliced`` evaluates
-all valuations of a small frame at once, one bit per valuation, for the
-bounded model search and the interpolant fingerprints. Unknown atoms
-evaluate to the empty set (logged once per model) because the closure
-machinery routinely checks formulas over partially valued models.
+There is one Kripke evaluator, ``eval_on_frame``, on successor bitmasks
+(bit i is the i-th world in sorted order). It evaluates a formula on any
+number of disjoint copies of one frame at once, each copy with its own
+valuation. A ``PreorderModel`` keeps its masks, and ``model_check`` reads
+the one-copy result back as a set of world ids; the bounded model search
+and the interpolant fingerprints put every valuation of a small frame in
+a copy of its own. Unknown atoms evaluate to the empty set (logged once
+per model) because the closure machinery routinely checks formulas over
+partially valued models.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
@@ -172,20 +174,54 @@ def _validate_preorder(
 # ---------------------------------------------------------------------------
 
 def eval_on_frame(
-    succ: Sequence[int], env: dict[str, int], f: Formula, cache: Optional[dict] = None
+    succ: Sequence[int], env: Mapping[str, int], f: Formula, cache: Optional[dict] = None,
+    copies: int = 1,
 ) -> int:
-    """Bit-parallel satisfaction set over a small frame.
+    """Bit-parallel satisfaction set of f on ``copies`` disjoint copies of
+    a frame.
 
-    ``succ[w]`` is the successor bitmask of world w and ``env`` maps atom
-    names to extension bitmasks; the result is the bitmask of [[f]].
+    ``succ[w]`` is the successor bitmask of world w of a k-world frame.
+    Copy c sits in bits c*(k+1) .. c*(k+1)+k-1, one bit per world; bit
+    c*(k+1)+k is a guard that stays clear. ``env`` maps an atom name to its
+    extension in every copy packed the same way, and the result is [[f]]
+    packed the same way. With one copy, a set is the plain k-bit world mask.
+    An atom missing from ``env`` holds nowhere.
+
+    The modal step for world w runs in all copies at once: ``succ[w]`` is
+    spread over every copy and masked with the operand, and 2^k - 1 is
+    added to every copy, which carries into a copy's guard bit exactly when
+    that copy has a successor of w in the operand. The guard bits, shifted
+    down onto world w, are <>; [] is ~<>~.
     """
     if cache is None:
         cache = {}
+    # one copy needs no spread masks; more copies build theirs once per frame
+    if copies == 1:
+        layout = succ, (1 << len(succ)) - 1, 1 << len(succ)
+    else:
+        layout = _layout(tuple(succ), copies)
+    return _eval(layout, env, f, cache)
+
+
+@lru_cache(maxsize=256)
+def _layout(succ: tuple[int, ...], copies: int) -> tuple[tuple[int, ...], int, int]:
+    """(successor masks spread over every copy, full world mask, guard bits)
+    of ``copies`` packed copies of a frame, for ``_eval``."""
+    k = len(succ)
+    ones = tile(1, copies, k + 1)
+    return tuple(mask * ones for mask in succ), ones * ((1 << k) - 1), ones << k
+
+
+def tile(x: int, times: int, width: int) -> int:
+    """``times`` copies of x (below 2**width), ``width`` bits apart."""
+    return x * (((1 << width * times) - 1) // ((1 << width) - 1))
+
+
+def _eval(layout, env: Mapping[str, int], f: Formula, cache: dict) -> int:
     hit = cache.get(f)
     if hit is not None:
         return hit
-    k = len(succ)
-    full = (1 << k) - 1
+    spreads, full, guard = layout
     if isinstance(f, Atom):
         out = env.get(f.name, 0)
     elif isinstance(f, Bottom):
@@ -193,81 +229,26 @@ def eval_on_frame(
     elif isinstance(f, Top):
         out = full
     elif isinstance(f, Not):
-        out = full ^ eval_on_frame(succ, env, f.sub, cache)
+        out = full ^ _eval(layout, env, f.sub, cache)
     elif isinstance(f, And):
-        out = eval_on_frame(succ, env, f.left, cache) & eval_on_frame(succ, env, f.right, cache)
+        out = _eval(layout, env, f.left, cache) & _eval(layout, env, f.right, cache)
     elif isinstance(f, Or):
-        out = eval_on_frame(succ, env, f.left, cache) | eval_on_frame(succ, env, f.right, cache)
+        out = _eval(layout, env, f.left, cache) | _eval(layout, env, f.right, cache)
     elif isinstance(f, Implies):
-        out = (full ^ eval_on_frame(succ, env, f.left, cache)) | eval_on_frame(succ, env, f.right, cache)
+        out = (full ^ _eval(layout, env, f.left, cache)) | _eval(layout, env, f.right, cache)
     elif isinstance(f, Iff):
-        a = eval_on_frame(succ, env, f.left, cache)
-        b = eval_on_frame(succ, env, f.right, cache)
-        out = (a & b) | (full ^ (a | b))
-    elif isinstance(f, Box):
-        sub = eval_on_frame(succ, env, f.sub, cache)
-        out = 0
-        for w in range(k):
-            if succ[w] & ~sub == 0:
-                out |= 1 << w
-    elif isinstance(f, Diamond):
-        sub = eval_on_frame(succ, env, f.sub, cache)
-        out = 0
-        for w in range(k):
-            if succ[w] & sub:
-                out |= 1 << w
-    else:
-        raise ModelError(f"unknown node {f!r}")
-    cache[f] = out
-    return out
-
-
-def eval_sliced(
-    succ: Sequence[int], env: Mapping[str, tuple[int, ...]], f: Formula, full: int,
-    cache: Optional[dict] = None,
-) -> tuple[int, ...]:
-    """Satisfaction of f on one small frame under many valuations at once.
-
-    ``succ`` is as for ``eval_on_frame``. Each formula becomes a tuple of
-    one int per world whose bit v says whether it holds there under
-    valuation v: ``env[name]`` is that tuple for an atom, and ``full`` has a
-    bit for every valuation. An atom missing from ``env`` holds nowhere.
-    """
-    if cache is None:
-        cache = {}
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, Atom):
-        out = env.get(f.name, (0,) * len(succ))
-    elif isinstance(f, Bottom):
-        out = (0,) * len(succ)
-    elif isinstance(f, Top):
-        out = (full,) * len(succ)
-    elif isinstance(f, Not):
-        out = tuple(full ^ a for a in eval_sliced(succ, env, f.sub, full, cache))
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        left = eval_sliced(succ, env, f.left, full, cache)
-        right = eval_sliced(succ, env, f.right, full, cache)
-        if isinstance(f, And):
-            out = tuple(a & b for a, b in zip(left, right))
-        elif isinstance(f, Or):
-            out = tuple(a | b for a, b in zip(left, right))
-        elif isinstance(f, Implies):
-            out = tuple((full ^ a) | b for a, b in zip(left, right))
-        else:
-            out = tuple(full ^ (a ^ b) for a, b in zip(left, right))
+        out = full ^ _eval(layout, env, f.left, cache) ^ _eval(layout, env, f.right, cache)
     elif isinstance(f, (Box, Diamond)):
-        sub = eval_sliced(succ, env, f.sub, full, cache)
         box = isinstance(f, Box)
-        cells = []
-        for mask in succ:
-            acc = full if box else 0
-            for v, value in enumerate(sub):
-                if mask >> v & 1:
-                    acc = acc & value if box else acc | value
-            cells.append(acc)
-        out = tuple(cells)
+        sub = _eval(layout, env, f.sub, cache)
+        if box:
+            sub ^= full
+        out = 0
+        k = len(spreads)
+        for w, spread in enumerate(spreads):
+            out |= (((spread & sub) + full) & guard) >> k - w
+        if box:
+            out ^= full
     else:
         raise ModelError(f"unknown node {f!r}")
     cache[f] = out

@@ -228,40 +228,10 @@ def _maximal_sets_from_types(
     return out
 
 
-def _maximal_sets_by_branching(
-    closure: SignedClosure, logic: LogicId, budget: Budget
-) -> list[MaximalSet]:
-    """Depth-first branching over (formula vs negation) choices with
-    inseparability pruning; reference implementation for cross-checks."""
-    pair_plan: list[tuple[int, frozenset, frozenset]] = []
-    for index in (1, 2):
-        sigma = closure.side(index)
-        for anchor, _ in iter_negation_pairs(sigma):
-            pos, neg = _class_polarity(sigma, anchor)
-            pair_plan.append((index, pos, neg))
-    results = {}
-
-    def walk(pos_at: int, sides: dict[int, frozenset]):
-        if pos_at == len(pair_plan):
-            ms = MaximalSet(sides[1], sides[2])
-            results[(ms.t1, ms.t2)] = ms
-            return
-        index, pos, neg = pair_plan[pos_at]
-        for choice in (pos, neg):
-            extended = dict(sides)
-            extended[index] = sides[index] | choice
-            if _consistent(extended[1] | extended[2], logic, budget):
-                walk(pos_at + 1, extended)
-
-    walk(0, {1: frozenset(), 2: frozenset()})
-    return sorted(results.values(), key=lambda ms: ms.label())
-
-
 def build_smorynski_model(
     closure: SignedClosure,
     logic: LogicId,
     budget: Optional[Budget] = None,
-    strategy: str = "types",
 ) -> SmorynskiModel:
     """Build the canonical model over all maximal inseparable sets.
 
@@ -269,12 +239,7 @@ def build_smorynski_model(
     their sorted member lists.
     """
     budget = budget or Budget()
-    if strategy == "types":
-        maximal = _maximal_sets_from_types(closure, logic, budget)
-    elif strategy == "branching":
-        maximal = _maximal_sets_by_branching(closure, logic, budget)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    maximal = _maximal_sets_from_types(closure, logic, budget)
     if not maximal:
         raise OracleUndecided("no maximal inseparable sets; is the logic consistent?")
     width = len(str(len(maximal)))

@@ -117,17 +117,22 @@ def suite_lemma23(scale: float = 1.0) -> tuple[bool, str]:
         morphism_memo: dict[tuple, bool] = {}
         for frame_index, frame in enumerate(targets):
             beta = betas[frame]
-            refute_memo: dict[tuple, int] = {}
+            cases = []
+            # one copy of the frame per distinct tuple of argument extensions
+            copy_of: dict[tuple, int] = {}
             for combo in itertools.product(range(len(pool)), repeat=frame.size):
                 arg_exts = tuple(exts[c] for c in combo)
-                if not arg_exts[0]:
-                    continue
+                if arg_exts[0]:
+                    cases.append((combo, arg_exts))
+                    copy_of.setdefault(arg_exts, len(copy_of))
+            beta_env = {
+                f"p{i}": sum(arg_exts[i] << copy * (k + 1) for arg_exts, copy in copy_of.items())
+                for i in range(frame.size)
+            }
+            sat_all = eval_on_frame(succ, beta_env, beta, None, len(copy_of))
+            for combo, arg_exts in cases:
                 args = [pool[c] for c in combo]
-                refuted_bits = refute_memo.get(arg_exts)
-                if refuted_bits is None:
-                    beta_env = {f"p{i}": ext for i, ext in enumerate(arg_exts)}
-                    refuted_bits = full ^ eval_on_frame(succ, beta_env, beta)
-                    refute_memo[arg_exts] = refuted_bits
+                refuted_bits = full ^ (sat_all >> copy_of[arg_exts] * (k + 1) & full)
                 for x in range(k):
                     if not arg_exts[0] >> x & 1:
                         continue

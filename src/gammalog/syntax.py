@@ -670,26 +670,6 @@ def boolean_subformula_closure(
     return frozenset(representative(t, letters) for t in range(1 << (1 << k)))
 
 
-def chi_closure(
-    formulas: Iterable[Formula],
-    chi: Formula,
-    arity: int,
-    max_representatives: int = 1 << 16,
-    max_instances: int = 1 << 16,
-) -> frozenset[Formula]:
-    """Boolean closure of S together with all chi[f0..f_{arity-1}], fi in S."""
-    base = sorted_formulas(set(formulas))
-    if len(base) ** arity > max_instances:
-        raise ClosureCapExceeded(
-            f"chi closure needs {len(base)}^{arity} substitution instances "
-            f"(cap {max_instances})"
-        )
-    from .frame_formulas import substitute  # local import to avoid a cycle
-
-    instances = [substitute(chi, list(args)) for args in itertools.product(base, repeat=arity)]
-    return boolean_subformula_closure(set(base) | set(instances), max_representatives)
-
-
 # ---------------------------------------------------------------------------
 # Signed closures
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import gammalog
+from gammalog import cli
 from gammalog.cli import main
 
 
@@ -177,6 +183,28 @@ def test_selftest_command_quick(capsys):
 def test_selftest_unknown_suite(capsys):
     code, _, err = run(capsys, "selftest", "--suite", "nope")
     assert code == 2 and "unknown suite" in err
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # a usage error, help and two different subcommands in one process
+    # print what each prints alone in a fresh process
+    calls = [
+        ["check", "[]p -> p"],
+        ["countermodel", "--help"],
+        ["check", "--logic", "S4", "[]p -> p"],
+        ["--format", "json", "countermodel", "--logic", "S4", "--max-worlds", "3",
+         "<>[]p -> []<>p"],
+    ]
+    cli._parser.cache_clear()
+    together = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in together] == [2, 0, 0, 0]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gammalog.__file__).parents[1]))
+    for argv, result in zip(calls, together):
+        alone = subprocess.run(
+            [sys.executable, "-m", "gammalog.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (alone.returncode, alone.stdout, alone.stderr) == result, argv
 
 
 def test_deterministic_output(capsys):

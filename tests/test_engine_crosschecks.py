@@ -3,10 +3,11 @@
 The structural cluster-formula analysis, the type-elimination core and
 bounded enumeration are separate decision methods; these tests force them
 to agree on families where more than one of them is conclusive. The
-model evaluator ``kripke.eval_on_frame`` (behind ``model_check`` too) is
-checked against the set-based reference semantics in
-``kripke_reference``, which shares no code with it; the sliced evaluator
-of the bounded search is checked against it in ``test_frame_walk``.
+one Kripke evaluator ``kripke.eval_on_frame`` (behind ``model_check``,
+the bounded search and the interpolant fingerprints) is checked on one
+copy against the set-based reference semantics in ``kripke_reference``,
+which shares no code with it; ``test_frame_walk`` checks it on many
+copies against one copy at a time.
 """
 
 import itertools

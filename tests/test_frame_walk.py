@@ -1,10 +1,11 @@
 """Bounded frame enumeration against its per-valuation reference.
 
 ``engine._frame_walk`` evaluates each class frame once per slice of
-valuations with ``kripke.eval_sliced``; ``engine_reference`` holds the walk
-that calls ``eval_on_frame`` once per valuation, and the canonical frame
-table built by minimising over all permutations of every labelled
-preorder. The walks must return the same (model, world) in every case.
+valuations: ``kripke.eval_on_frame``, the one Kripke evaluator, runs on
+one copy of the frame per valuation. ``engine_reference`` holds the walk
+that calls ``eval_on_frame`` once per valuation, on a single copy, and the
+canonical frame table built by minimising over all permutations of every
+labelled preorder. The walks must return the same (model, world) in every case.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from gammalog.engine import (
     BudgetExceeded, _Deadline, canonical_frames, countermodel_search, labeled_preorders,
     parse_logic,
 )
-from gammalog.kripke import eval_on_frame, eval_sliced
+from gammalog.kripke import eval_on_frame
 from gammalog.syntax import And, Atom, Box, Diamond, Iff, Implies, Not, Or, FALSE, TRUE, parse
 from engine_reference import (
     canonical_frames_reference, fingerprint_reference, fingerprint_zoo_reference,
@@ -98,18 +99,32 @@ def test_satisfy_walk_on_four_atoms_at_four_worlds():
 
 
 def test_false_hits_are_rechecked_and_skipped(monkeypatch):
-    # an evaluator that reports every valuation as a hit at every world:
-    # each hit is rebuilt and checked, and the walk goes on to the next one
-    def everywhere(succ, env, f, full, cache=None):
-        return (full,) * len(succ)
+    # an evaluator that reports every world of every copy as a hit: each
+    # hit is rebuilt and checked, and the walk goes on to the next copy
+    def everywhere(succ, env, f, cache=None, copies=1):
+        return eval_on_frame(succ, {}, TRUE, None, copies)
 
-    monkeypatch.setattr(kripke, "eval_sliced", everywhere)
+    monkeypatch.setattr(engine, "eval_on_frame", everywhere)
     for text in ("p & ~q & <>q", "p & ~p", "[]p & <>~p"):
         f = parse(text)
         for logic in LOGICS:
             expected = frame_walk_reference(f, logic, 3, "satisfy")
             found = engine._frame_walk(f, logic, 3, "satisfy")
             assert found == expected, (text, str(logic))
+    # a hit that fails its re-check skips the rest of its copy: every
+    # valuation is checked once, at its lowest world
+    checked = []
+    satisfies = kripke.satisfies
+
+    def recording(model, world, f):
+        checked.append(world)
+        return satisfies(model, world, f)
+
+    monkeypatch.setattr(kripke, "satisfies", recording)
+    logic = parse_logic("S4")
+    assert engine._frame_walk(parse("p & ~p"), logic, 3, "satisfy") is None
+    frames = [len(engine._class_frames(k, logic.lam, logic.m, logic.n)) for k in (1, 2, 3)]
+    assert checked == ["w0"] * sum(n << k for k, n in zip((1, 2, 3), frames))
 
 
 @pytest.mark.parametrize("n_atoms", [6, 10])
@@ -146,12 +161,44 @@ def test_sliced_evaluator_matches_eval_on_frame_at_each_valuation(case):
         succ[a] |= 1 << b
     names = ATOMS[:n_atoms]
     # atom t is not valued and holds nowhere
-    env, full = engine._sliced_atoms(names, k)
-    sliced = eval_sliced(succ, env, f, full)
-    # valuation v is the v-th of itertools.product order
+    columns, _ = engine._sliced_atoms(n_atoms, k)
+    sliced = eval_on_frame(succ, dict(zip(names, columns)), f, None, 1 << k * n_atoms)
+    # valuation v is the v-th of itertools.product order, in copy v
     masks = next(itertools.islice(itertools.product(range(1 << k), repeat=n_atoms), v, None))
     expected = eval_on_frame(succ, dict(zip(names, masks)), f)
-    assert sum((cell >> v & 1) << w for w, cell in enumerate(sliced)) == expected
+    assert sliced >> v * (k + 1) & (1 << k) - 1 == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=k),
+            st.lists(
+                st.tuples(st.integers(0, (1 << k) - 1), st.integers(0, (1 << k) - 1)),
+                min_size=1, max_size=64,
+            ),
+        )
+    ),
+    _formulas(["p", "q", "t"]),
+)
+def test_copies_evaluate_like_one_copy_at_a_time(case, f):
+    # any relation, 1-64 copies with their own p and q; t has no valuation
+    k, succ, valuations = case
+    stride = k + 1
+    env = {
+        name: sum(ext[i] << c * stride for c, ext in enumerate(valuations))
+        for i, name in enumerate(["p", "q"])
+    }
+    packed = eval_on_frame(succ, env, f, None, len(valuations))
+    expected = sum(
+        eval_on_frame(succ, {"p": p, "q": q}, f) << c * stride
+        for c, (p, q) in enumerate(valuations)
+    )
+    assert packed == expected
+    worlds = sum(((1 << k) - 1) << c * stride for c in range(len(valuations)))
+    assert packed & ~worlds == 0
 
 
 def test_canonical_frames_match_the_reference():

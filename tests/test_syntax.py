@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gammalog.syntax import (
     And, Atom, Bottom, Box, Diamond, FALSE, Iff, Implies, Not, Or,
     TRUE, Top, all_canonical_modalities, apply_prefix, atoms,
-    boolean_subformula_closure, box_negation_closure, chi_closure,
+    boolean_subformula_closure, box_negation_closure,
     ClosureCapExceeded, ParseError, SignedClosure, modality_key, modal_depth,
     negated_normalized, node_count, normalize_modality, parse, pretty,
     sort_key, subformula_closure, to_core,
@@ -140,12 +140,6 @@ def _prop_eval(f, env):
     if isinstance(f, Or):
         return _prop_eval(f.left, env) or _prop_eval(f.right, env)
     raise AssertionError(f)
-
-
-def test_chi_closure_examples():
-    assert chi_closure([p], parse("p0"), 1) == {FALSE, p, Not(p), TRUE}
-    assert len(chi_closure([p], parse("[]p0"), 1)) == 16
-    assert chi_closure([], parse("[]p0"), 1) == {FALSE, TRUE}
 
 
 # --- modality normalization -------------------------------------------------
