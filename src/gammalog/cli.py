@@ -19,7 +19,9 @@ from typing import Optional
 from . import engine, kripke, refine, smorynski, suites
 from .engine import Budget, Interpolant, Invalid, NotValid, Valid
 from .frame_formulas import OMEGA, cluster_frame, frame_formula
-from .syntax import FormulaError, SignedClosure, parse as parse_formula, pretty
+from .syntax import (
+    FormulaError, SignedClosure, parse as parse_formula, pretty, subformula_closure, to_core,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -68,11 +70,12 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _maybe_write_model(args, model) -> Optional[str]:
-    path = getattr(args, "out", None)
-    if path:
-        kripke.dump_model(model, path)
-    return path
+def _model_line(args, model, written: str) -> str:
+    """Write the model to --out and say so, or give it as one JSON line."""
+    if args.out:
+        kripke.dump_model(model, args.out)
+        return f"{written} {args.out}"
+    return json.dumps(kripke.model_to_dict(model), sort_keys=True)
 
 
 def _model_payload(model, world) -> dict:
@@ -104,12 +107,10 @@ def cmd_check(args) -> int:
         return EXIT_OK
     if isinstance(verdict, Invalid):
         _check_countermodel(verdict.model, verdict.world, f)
-        path = _maybe_write_model(args, verdict.model)
-        lines = [f"Invalid at world {verdict.world}"]
-        if path:
-            lines.append(f"countermodel written to {path}")
-        else:
-            lines.append(json.dumps(kripke.model_to_dict(verdict.model), sort_keys=True))
+        lines = [
+            f"Invalid at world {verdict.world}",
+            _model_line(args, verdict.model, "countermodel written to"),
+        ]
         _emit(args, {"verdict": "invalid", **_model_payload(verdict.model, verdict.world)}, lines)
         return EXIT_NEGATIVE
     _emit(args, {"verdict": "unknown", "reason": verdict.reason}, [f"Unknown: {verdict.reason}"])
@@ -129,12 +130,10 @@ def cmd_countermodel(args) -> int:
         return EXIT_NEGATIVE
     model, world = found
     _check_countermodel(model, world, f)
-    path = _maybe_write_model(args, model)
-    lines = [f"countermodel with {len(model.worlds)} worlds refutes at {world}"]
-    if path:
-        lines.append(f"written to {path}")
-    else:
-        lines.append(json.dumps(kripke.model_to_dict(model), sort_keys=True))
+    lines = [
+        f"countermodel with {len(model.worlds)} worlds refutes at {world}",
+        _model_line(args, model, "written to"),
+    ]
     _emit(args, {"found": True, **_model_payload(model, world)}, lines)
     return EXIT_OK
 
@@ -153,12 +152,10 @@ def cmd_interpolate(args) -> int:
         _emit(args, {"interpolant": pretty(chi)}, lines)
         return EXIT_OK
     if isinstance(result, NotValid):
-        path = _maybe_write_model(args, result.model)
-        lines = [f"not valid; countermodel refutes the implication at {result.world}"]
-        if path:
-            lines.append(f"countermodel written to {path}")
-        else:
-            lines.append(json.dumps(kripke.model_to_dict(result.model), sort_keys=True))
+        lines = [
+            f"not valid; countermodel refutes the implication at {result.world}",
+            _model_line(args, result.model, "countermodel written to"),
+        ]
         _emit(args, {"verdict": "not-valid", **_model_payload(result.model, result.world)}, lines)
         return EXIT_NEGATIVE
     _emit(args, {"verdict": "unknown", "reason": result.reason}, [f"Unknown: {result.reason}"])
@@ -196,11 +193,7 @@ def cmd_refine(args) -> int:
         model = kripke.load_model(args.model)
     except (OSError, kripke.ModelError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot load model: {exc}") from exc
-    sigma = _read_formula_file(args.sigma)
-    from .syntax import to_core
-    sigma_core = [to_core(f) for f in sigma]
-    from .syntax import subformula_closure
-    closed = subformula_closure(sigma_core)
+    closed = subformula_closure(to_core(f) for f in _read_formula_file(args.sigma))
     steps: list = []
     try:
         refined = refine.refine_model(
@@ -210,7 +203,6 @@ def cmd_refine(args) -> int:
     except refine.RefinementError as exc:
         _emit(args, {"error": str(exc)}, [f"refinement failed: {exc}"])
         return EXIT_UNKNOWN
-    path = _maybe_write_model(args, refined)
     lines = [
         f"refined {len(steps)} cluster(s): "
         + "; ".join(
@@ -219,11 +211,8 @@ def cmd_refine(args) -> int:
         )
         if steps
         else "nothing to refine",
+        _model_line(args, refined, "refined model written to"),
     ]
-    if path:
-        lines.append(f"refined model written to {path}")
-    else:
-        lines.append(json.dumps(kripke.model_to_dict(refined), sort_keys=True))
     _emit(args, {"steps": steps, "model": kripke.model_to_dict(refined)}, lines)
     return EXIT_OK
 

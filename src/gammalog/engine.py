@@ -27,9 +27,9 @@ method that is sound for the whole frame class:
    one Kripke evaluator, on a frame with one copy per valuation, so a
    frame is evaluated under all valuations at once; every hit is rebuilt
    as a model and checked again by ``model_check``, which runs the same
-   evaluator on that one model.
-   ``TypeSpace.mask`` evaluates the closure propositionally over letter
-   assignments, box letters as leaves.
+   evaluator on that one model. ``TypeSpace.mask`` runs the same evaluator
+   core with no frame (``kripke.eval_propositional``), over all letter
+   assignments at once, box letters as leaves.
 
 Anything undecided within budget is reported as Unknown, never guessed.
 """
@@ -41,15 +41,16 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import kripke
 from .frame_formulas import OMEGA, RootedFrame
 from .kripke import (
-    PreorderModel, eval_on_frame, generated_submodel, is_confluent, model_from_masks, tile,
+    PreorderModel, eval_on_frame, eval_propositional, generated_submodel, is_confluent,
+    model_from_masks, tile,
 )
 from .syntax import (
-    And, Atom, Bottom, Box, Diamond, Formula, Iff, Implies, Not, Or, Top,
+    And, Atom, Box, Diamond, Formula, Iff, Implies, Not, Or,
     FALSE, TRUE, atoms, node_count, pretty, sort_key, sorted_formulas,
     subformula_closure, to_core,
 )
@@ -267,23 +268,13 @@ def in_frame_class(model: PreorderModel, logic: LogicId) -> bool:
     return True
 
 
-def frame_in_class(frame: RootedFrame, logic: LogicId) -> bool:
-    return in_frame_class(frame.as_model(), logic)
-
-
 # ---------------------------------------------------------------------------
 # Type spaces: bit-parallel Hintikka assignments over a closure
 # ---------------------------------------------------------------------------
 
 def _column(j: int, k: int) -> int:
     """Bitmask over 2^k assignments where assignment i has bit j set (j < k)."""
-    step = 1 << j
-    out = ((1 << step) - 1) << step
-    width = step << 1
-    while width < 1 << k:
-        out |= out << width
-        width <<= 1
-    return out
+    return tile(((1 << (1 << j)) - 1) << (1 << j), 1 << (k - j - 1), 2 << j)
 
 
 class TypeSpace:
@@ -300,30 +291,22 @@ class TypeSpace:
     def __init__(self, seeds: Iterable[Formula], budget: Budget):
         core_seeds = [to_core(f) for f in seeds]
         self.closure = subformula_closure(core_seeds)
-        self.letters = sorted_formulas(
-            f for f in self.closure if isinstance(f, (Atom, Box))
-        )
+        self.letters = sorted_formulas(f for f in self.closure if isinstance(f, (Atom, Box)))
         self.k = len(self.letters)
         if self.k > budget.max_letters:
             raise BudgetExceeded(
                 f"type space needs {self.k} letters (cap {budget.max_letters})"
             )
-        self._index = {f: j for j, f in enumerate(self.letters)}
         self._full = (1 << (1 << self.k)) - 1
         self._masks: dict[Formula, int] = {}
         self._bytes: dict[Formula, bytes] = {}
-        self.box_positions = [
-            j for j, f in enumerate(self.letters) if isinstance(f, Box)
-        ]
-        self.box_mask = 0
-        for j in self.box_positions:
-            self.box_mask |= 1 << j
-        coherent_mask = self._full
+        self.box_positions = [j for j, f in enumerate(self.letters) if isinstance(f, Box)]
+        self.box_mask = sum(1 << j for j in self.box_positions)
+        self.coherent_mask = self._full
         for j in self.box_positions:
             letter = self.letters[j]
-            coherent_mask &= (self._full ^ _column(j, self.k)) | self.mask(letter.sub)
-        self.coherent_mask = coherent_mask
-        self.coherent = _bits(coherent_mask)
+            self.coherent_mask &= (self._full ^ self.mask(letter)) | self.mask(letter.sub)
+        self.coherent = _bits(self.coherent_mask)
         if len(self.coherent) > budget.max_types:
             raise BudgetExceeded(
                 f"type space has {len(self.coherent)} coherent types "
@@ -332,25 +315,12 @@ class TypeSpace:
 
     def mask(self, f: Formula) -> int:
         f = to_core(f)
-        hit = self._masks.get(f)
-        if hit is not None:
-            return hit
-        if f in self._index:
-            out = _column(self._index[f], self.k)
-        elif isinstance(f, Bottom):
-            out = 0
-        elif isinstance(f, Top):
-            out = self._full
-        elif isinstance(f, Not):
-            out = self._full ^ self.mask(f.sub)
-        elif isinstance(f, And):
-            out = self.mask(f.left) & self.mask(f.right)
-        elif isinstance(f, Or):
-            out = self.mask(f.left) | self.mask(f.right)
-        else:
+        if f not in self.closure:
             raise LogicError(f"formula outside the type space closure: {pretty(f)}")
-        self._masks[f] = out
-        return out
+        if not self._masks:
+            # letter j holds at the assignments with bit j set
+            self._masks.update((letter, _column(j, self.k)) for j, letter in enumerate(self.letters))
+        return eval_propositional(f, self._full, self._masks)
 
     def bits(self, f: Formula) -> bytes:
         """Byte view of a formula's truth mask, for O(1) per-type tests."""
@@ -447,36 +417,25 @@ def base_models(
             yield _eliminate(space, b), top
 
 
-def _types_to_model(
-    space: TypeSpace,
-    survivors: Sequence[int],
-    top: Sequence[int] = (),
+def types_to_model(
+    letters: Sequence[Formula], names: Mapping[int, str], top: Sequence[int] = (),
 ) -> PreorderModel:
-    """Build the canonical model over surviving types.
-
-    ``top`` lists types forming an explicit final cluster that every world
-    sees (the confluent construction); it repeats survivor types.
-    """
-    names = {i: f"t{idx:06d}" for idx, i in enumerate(sorted(survivors))}
-    top_names = [f"u{idx:06d}" for idx, _ in enumerate(top)]
-    worlds = list(names.values()) + top_names
-    order = set()
-    for a in survivors:
-        for b in survivors:
-            if space.sig(a) | space.sig(b) == space.sig(b):
-                order.add((names[a], names[b]))
-        for tn in top_names:
-            order.add((names[a], tn))
-    for tn in top_names:
-        for tn2 in top_names:
-            order.add((tn, tn2))
-    valuation = {}
-    for j, letter in enumerate(space.letters):
-        if isinstance(letter, Atom):
-            ext = [names[i] for i in survivors if i >> j & 1]
-            ext += [tn for tn, i in zip(top_names, top) if i >> j & 1]
-            valuation[letter.name] = ext
-    return PreorderModel(worlds, order, valuation)
+    """The canonical model over surviving types of a type space with these
+    letters, ``names`` giving each type's world id. A type sees every type
+    whose box signature contains its own. ``top`` lists types (repeating
+    survivors) of a final cluster that every world sees, the confluent
+    construction's, on worlds u000000, u000001, ..."""
+    box_mask = sum(1 << j for j, f in enumerate(letters) if isinstance(f, Box))
+    sig = {w: i & box_mask for i, w in names.items()}
+    top_names = [f"u{idx:06d}" for idx in range(len(top))]
+    order = {(a, b) for a in sig for b in sig if sig[a] & ~sig[b] == 0}
+    order.update(itertools.product(list(sig) + top_names, top_names))
+    typed = list(names.items()) + list(zip(top, top_names))
+    valuation = {
+        letter.name: [w for i, w in typed if i >> j & 1]
+        for j, letter in enumerate(letters) if isinstance(letter, Atom)
+    }
+    return PreorderModel(list(sig) + top_names, order, valuation)
 
 
 def _base_witness(
@@ -485,11 +444,11 @@ def _base_witness(
     """The generated base-logic model at the first surviving type that
     satisfies goal, or None when the goal is base-logic unsatisfiable."""
     for survivors, top in base_models(space, confluent):
-        for idx, i in enumerate(survivors):
+        for i in survivors:
             if space.holds(goal, i):
-                world = f"t{idx:06d}"
-                model = _types_to_model(space, survivors, top)
-                return generated_submodel(model, world), world
+                names = {t: f"t{idx:06d}" for idx, t in enumerate(survivors)}
+                model = types_to_model(space.letters, names, top)
+                return generated_submodel(model, names[i]), names[i]
     return None
 
 
@@ -781,7 +740,7 @@ def _frame_formula_sat(f: Formula, logic: LogicId):
     if match is None:
         return None
     frame, names = match
-    if not frame_in_class(frame, logic):
+    if not in_frame_class(frame.as_model(), logic):
         return UNSAT
     model = frame.as_model({name: [f"g{i}"] for i, name in enumerate(names)})
     if kripke.satisfies(model, "g0", f) and in_frame_class(model, logic):

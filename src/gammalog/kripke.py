@@ -3,15 +3,18 @@
 Models are immutable after construction. World ids are opaque strings and
 every deterministic enumeration iterates them in lexicographic order.
 
-There is one Kripke evaluator, ``eval_on_frame``, on successor bitmasks
-(bit i is the i-th world in sorted order). It evaluates a formula on any
-number of disjoint copies of one frame at once, each copy with its own
-valuation. A ``PreorderModel`` keeps its masks, and ``model_check`` reads
-the one-copy result back as a set of world ids; the bounded model search
-and the interpolant fingerprints put every valuation of a small frame in
-a copy of its own. Unknown atoms evaluate to the empty set (logged once
-per model) because the closure machinery routinely checks formulas over
-partially valued models.
+There is one evaluator core, on bitmasks. ``eval_on_frame`` runs it on
+successor bitmasks (bit i is the i-th world in sorted order) and evaluates
+a formula on any number of disjoint copies of one frame at once, each copy
+with its own valuation. A ``PreorderModel`` keeps its masks, and
+``model_check`` reads the one-copy result back as a set of world ids; the
+bounded model search and the interpolant fingerprints put every valuation
+of a small frame in a copy of its own. ``eval_propositional`` runs the same
+core with no frame, on points whose atoms and boxed formulas are given as
+letters: the type spaces of ``engine`` evaluate their closures this way.
+Unknown atoms evaluate to the empty set (logged once per model) because
+the closure machinery routinely checks formulas over partially valued
+models.
 """
 
 from __future__ import annotations
@@ -212,9 +215,22 @@ def _layout(succ: tuple[int, ...], copies: int) -> tuple[tuple[int, ...], int, i
     return tuple(mask * ones for mask in succ), ones * ((1 << k) - 1), ones << k
 
 
+def eval_propositional(f: Formula, full: int, letters: dict) -> int:
+    """The points of ``full`` where f holds, with no frame. ``letters`` must
+    map every atom and boxed subformula of f to its points, so the modal
+    step never runs; it also caches the masks of the other subformulas."""
+    return _eval(((), full, 0), {}, f, letters)
+
+
 def tile(x: int, times: int, width: int) -> int:
-    """``times`` copies of x (below 2**width), ``width`` bits apart."""
-    return x * (((1 << width * times) - 1) // ((1 << width) - 1))
+    """``times`` copies of x (below 2**width), ``width`` bits apart, built by
+    doubling: shifts are linear in the result, a division by 2**width - 1 is
+    quadratic in wide words."""
+    if times < 2:
+        return x * times
+    half = tile(x, times >> 1, width)
+    half |= half << width * (times >> 1)
+    return half << width | x if times & 1 else half
 
 
 def _eval(layout, env: Mapping[str, int], f: Formula, cache: dict) -> int:
@@ -347,15 +363,19 @@ def is_confluent(model: PreorderModel) -> bool:
 # p-morphisms
 # ---------------------------------------------------------------------------
 
-_SHAPE_CACHE: dict[tuple[int, frozenset], tuple[int, frozenset]] = {}
-
-
 def frame_shape(frame) -> tuple[int, frozenset[tuple[int, int]]]:
-    """Accepts any object with integer ``size`` and relation ``rel``."""
-    size = int(frame.size)
-    rel = frozenset((int(a), int(b)) for a, b in frame.rel)
-    if (size, rel) in _SHAPE_CACHE:
-        return _SHAPE_CACHE[(size, rel)]
+    """Accepts any object with integer ``size`` and relation ``rel``; the
+    validated shape is cached under the frame's own fields."""
+    try:
+        return _frame_shape(frame.size, frame.rel)
+    except TypeError:  # an unhashable relation is checked without the cache
+        return _frame_shape.__wrapped__(frame.size, frame.rel)
+
+
+@lru_cache(maxsize=1024)
+def _frame_shape(size, rel) -> tuple[int, frozenset[tuple[int, int]]]:
+    size = int(size)
+    rel = frozenset((int(a), int(b)) for a, b in rel)
     if size <= 0:
         raise ModelError("target frame must be nonempty")
     for a, b in rel:
@@ -371,7 +391,6 @@ def frame_shape(frame) -> tuple[int, frozenset[tuple[int, int]]]:
     for i in range(size):
         if (0, i) not in rel:
             raise ModelError("target frame is not rooted at 0")
-    _SHAPE_CACHE[(size, rel)] = (size, rel)
     return size, rel
 
 
@@ -386,34 +405,31 @@ class PMorphism:
     mapping: Mapping[str, int] = field(hash=False, compare=False, default_factory=dict)
 
     def validate(self) -> None:
-        m = self.mapping
-        if set(m) != set(self.source.worlds):
+        if set(self.mapping) != set(self.source.worlds):
             raise ModelError("p-morphism is not total on the source")
-        if set(m.values()) != set(range(self.target_size)):
-            raise ModelError("p-morphism is not surjective")
-        for a, b in self.source.order:
-            if (m[a], m[b]) not in self.target_rel:
-                raise ModelError(f"p-morphism not monotone at ({a},{b})")
-        for w in self.source.worlds:
-            for j in range(self.target_size):
-                if (m[w], j) in self.target_rel:
-                    if not any(m[v] == j for v in self.source.successors(w)):
-                        raise ModelError(f"back condition fails at {w} for {j}")
+        defect = _p_morphism_defect(self.source, self.target_size, self.target_rel, self.mapping)
+        if defect is not None:
+            raise ModelError(defect)
 
 
-def _is_p_morphism(sub: PreorderModel, size: int, rel, mapping: dict[str, int]) -> bool:
+def _p_morphism_defect(
+    source: PreorderModel, size: int, rel, mapping: Mapping[str, int]
+) -> Optional[str]:
+    """The first condition that a total map fails as a p-morphism onto the
+    frame (size, rel), in the order surjective, monotone, back; None if
+    it is one."""
     if set(mapping.values()) != set(range(size)):
-        return False
-    for a, b in sub.order:
+        return "p-morphism is not surjective"
+    for a, b in source.order:
         if (mapping[a], mapping[b]) not in rel:
-            return False
-    for w in sub.worlds:
+            return f"p-morphism not monotone at ({a},{b})"
+    for w in source.worlds:
         fw = mapping[w]
-        images = {mapping[v] for v in sub.successors(w)}
+        images = {mapping[v] for v in source.successors(w)}
         for j in range(size):
             if (fw, j) in rel and j not in images:
-                return False
-    return True
+                return f"back condition fails at {w} for {j}"
+    return None
 
 
 def find_p_morphism(
@@ -443,12 +459,12 @@ def find_p_morphism(
             if len(hits) != 1:
                 return None
             mapping[w] = hits[0]
-        if _is_p_morphism(sub, size, rel, mapping):
-            return PMorphism(sub, size, rel, mapping)
-        return None
-    for values in itertools.product(range(size), repeat=len(sub.worlds)):
-        mapping = dict(zip(sub.worlds, values))
-        if _is_p_morphism(sub, size, rel, mapping):
+        candidates = [mapping]
+    else:
+        values = itertools.product(range(size), repeat=len(sub.worlds))
+        candidates = (dict(zip(sub.worlds, image)) for image in values)
+    for mapping in candidates:
+        if _p_morphism_defect(sub, size, rel, mapping) is None:
             return PMorphism(sub, size, rel, mapping)
     return None
 

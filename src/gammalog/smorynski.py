@@ -19,10 +19,10 @@ from typing import Iterable, Mapping, Optional
 
 from . import engine as _engine
 from .engine import Budget, LogicId, Satisfiable, Unsatisfiable
-from .kripke import PreorderModel, model_check
+from .kripke import PreorderModel, model_check, model_to_dict
 from .syntax import (
-    Atom, Box, Formula, SignedClosure, conj, iter_negation_pairs, modality_key,
-    pretty, sorted_formulas,
+    Formula, Not, SignedClosure, conj, iter_negation_pairs, modality_key, pretty,
+    sorted_formulas,
 )
 
 
@@ -116,7 +116,6 @@ def is_separable(
     t1, t2 = _sides(T, closure)
     if _consistent(t1 | t2, logic, budget):
         return Inseparable()
-    from .syntax import Not
     result = _engine.find_interpolant(
         conj(sorted_formulas(t1)), Not(conj(sorted_formulas(t2))), logic, budget
     )
@@ -131,7 +130,6 @@ def _class_polarity(
     sigma: frozenset[Formula], anchor: Formula
 ) -> tuple[frozenset[Formula], frozenset[Formula]]:
     """Members of sigma in the anchor's modality class and in its negation's."""
-    from .syntax import Not
     key = modality_key(anchor)
     neg_key = modality_key(Not(anchor))
     pos = frozenset(f for f in sigma if modality_key(f) == key)
@@ -190,7 +188,6 @@ class SmorynskiModel:
 
     def to_json_dict(self) -> dict:
         """Kripke JSON with worlds renamed to their sorted member lists."""
-        from .kripke import model_to_dict
         rename = {wid: self.worlds[wid].label() for wid in self.model.worlds}
         raw = model_to_dict(self.model)
         return {
@@ -206,8 +203,10 @@ class SmorynskiModel:
 
 def _maximal_sets_from_types(
     closure: SignedClosure, logic: LogicId, budget: Budget
-) -> list[MaximalSet]:
-    """Enumerate maximal inseparable sets as surviving type assignments.
+) -> tuple[list[Formula], list[tuple[int, MaximalSet]]]:
+    """The type space's letters and the maximal inseparable sets as
+    (surviving type assignment, set) pairs, in label order. Sigma holds
+    every letter, so distinct types give distinct sets.
 
     For the (w,w) logics the base-logic elimination is exactly the
     consistency oracle; for bounded logics each surviving type is re-checked
@@ -217,15 +216,15 @@ def _maximal_sets_from_types(
     survivors = set()
     for alive, _ in _engine.base_models(space, logic.confluent):
         survivors.update(alive)
-    sets = {}
+    out = []
     for i in sorted(survivors):
         t1 = frozenset(f for f in closure.sigma1 if space.holds(f, i))
         t2 = frozenset(f for f in closure.sigma2 if space.holds(f, i))
-        sets[(t1, t2)] = MaximalSet(t1, t2)
-    out = sorted(sets.values(), key=lambda ms: ms.label())
+        out.append((i, MaximalSet(t1, t2)))
+    out.sort(key=lambda pair: pair[1].label())
     if not logic.unbounded:
-        out = [ms for ms in out if _consistent(ms.members, logic, budget)]
-    return out
+        out = [(i, ms) for i, ms in out if _consistent(ms.members, logic, budget)]
+    return space.letters, out
 
 
 def build_smorynski_model(
@@ -236,30 +235,17 @@ def build_smorynski_model(
     """Build the canonical model over all maximal inseparable sets.
 
     Worlds carry short ids in memory; ``to_json_dict`` serializes them under
-    their sorted member lists.
+    their sorted member lists. The model is built once the type space (and
+    its 2^k-bit masks) is gone.
     """
     budget = budget or Budget()
-    maximal = _maximal_sets_from_types(closure, logic, budget)
+    letters, maximal = _maximal_sets_from_types(closure, logic, budget)
     if not maximal:
         raise OracleUndecided("no maximal inseparable sets; is the logic consistent?")
     width = len(str(len(maximal)))
-    ids = {f"m{idx:0{width}d}": ms for idx, ms in enumerate(maximal)}
-    boxed = frozenset(f for f in closure.sigma if isinstance(f, Box))
-    items = sorted(ids.items())
-    box_part = {wid: ms.members & boxed for wid, ms in items}
-    order = set()
-    for wid, _ in items:
-        for wid2, _ in items:
-            if box_part[wid] <= box_part[wid2]:
-                order.add((wid, wid2))
-    atoms_here = sorted(f.name for f in closure.sigma if isinstance(f, Atom))
-    member_sets = {wid: ms.members for wid, ms in items}
-    valuation = {
-        name: [wid for wid, _ in items if Atom(name) in member_sets[wid]]
-        for name in atoms_here
-    }
-    model = PreorderModel([wid for wid, _ in items], order, valuation)
-    return SmorynskiModel(model, dict(items), closure, logic)
+    ids = {i: f"m{idx:0{width}d}" for idx, (i, _) in enumerate(maximal)}
+    model = _engine.types_to_model(letters, ids)
+    return SmorynskiModel(model, {ids[i]: ms for i, ms in maximal}, closure, logic)
 
 
 def truth_lemma_violations(sm: SmorynskiModel) -> list[tuple[str, Formula]]:

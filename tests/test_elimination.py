@@ -8,13 +8,14 @@ exactly the same (survivors, top) pairs, in the same order.
 
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gammalog.engine import (
-    Budget, BudgetExceeded, TypeSpace, _bits, _column, base_models,
+    Budget, BudgetExceeded, LogicError, TypeSpace, _bits, _column, base_models,
 )
 from gammalog.syntax import (
-    And, Atom, Box, Diamond, Implies, Not, Or, SignedClosure, parse,
+    And, Atom, Bottom, Box, Diamond, Implies, Not, Or, SignedClosure, Top, parse,
     sorted_formulas,
 )
 
@@ -90,6 +91,51 @@ def test_base_models_match_the_reference_scan(seeds):
     except BudgetExceeded:
         assume(False)
     _assert_matches_reference(space)
+
+
+_CORE = st.recursive(
+    st.sampled_from([Atom("p"), Atom("q"), Atom("r"), Top(), Bottom()]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Box, sub), st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+    ),
+    max_leaves=8,
+)
+
+
+def _truth(f, letters, i: int) -> bool:
+    """Per-assignment propositional reference: letters are read off i."""
+    if f in letters:
+        return bool(i >> letters.index(f) & 1)
+    if isinstance(f, Not):
+        return not _truth(f.sub, letters, i)
+    if isinstance(f, And):
+        return _truth(f.left, letters, i) and _truth(f.right, letters, i)
+    if isinstance(f, Or):
+        return _truth(f.left, letters, i) or _truth(f.right, letters, i)
+    return isinstance(f, Top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_CORE, min_size=1, max_size=4))
+def test_mask_matches_a_per_assignment_reference(seeds):
+    try:
+        space = TypeSpace(seeds, Budget(max_letters=8))
+    except BudgetExceeded:
+        assume(False)
+    for f in sorted_formulas(space.closure):
+        mask = space.mask(f)
+        assert mask >> (1 << space.k) == 0
+        for i in range(1 << space.k):
+            assert bool(mask >> i & 1) == _truth(f, space.letters, i), (f, i)
+
+
+def test_mask_outside_the_closure_raises():
+    space = TypeSpace([parse("p & <>q")], Budget())
+    assert space.mask(parse("<>q")) == space.mask(parse("~[]~q"))
+    for outside in ("r", "p | q", "[]p", "<>p"):
+        with pytest.raises(LogicError):
+            space.mask(parse(outside))
 
 
 def test_k20_closure_matches_the_reference_scan():

@@ -157,18 +157,18 @@ def test_bit_evaluator_matches_reference_model_checker(case, named):
 
 def test_type_space_truth_matches_model_checking_on_extracted_model():
     # the elimination model satisfies exactly the formulas its types contain
-    from gammalog.engine import TypeSpace, _types_to_model, base_models
+    from gammalog.engine import TypeSpace, base_models, types_to_model
     from gammalog.syntax import to_core, subformula_closure, sorted_formulas
 
     core = to_core(parse("[](p -> q) & <>~q & <>[]p"))
     space = TypeSpace([core], Budget())
     [(survivors, _)] = base_models(space, confluent=False)
-    model = _types_to_model(space, survivors)
-    ordered = sorted(survivors)
+    names = {i: f"t{idx:06d}" for idx, i in enumerate(survivors)}
+    model = types_to_model(space.letters, names)
     for f in sorted_formulas(subformula_closure([core])):
         extension = model_check(model, f)
-        for idx, i in enumerate(ordered):
-            assert (f"t{idx:06d}" in extension) == space.holds(f, i), pretty(f)
+        for i, world in names.items():
+            assert (world in extension) == space.holds(f, i), pretty(f)
 
 
 def test_bounded_logic_sat_witnesses_respect_their_class():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gammalog.frame_formulas import cluster_frame
 from gammalog.kripke import (
-    ModelError, PreorderModel, clusters, cluster_sizes, dump_model,
-    find_p_morphism, generated_submodel, is_confluent, load_model,
+    ModelError, PMorphism, PreorderModel, clusters, cluster_sizes, dump_model,
+    find_p_morphism, frame_shape, generated_submodel, is_confluent, load_model,
     model_check, model_from_dict,
 )
 from gammalog.syntax import Atom, Box, parse
@@ -232,6 +232,43 @@ def test_p_morphism_malformed_target():
 
     with pytest.raises(ModelError):
         find_p_morphism(m, "a", Bad())
+
+
+def test_frame_shape_checks_every_call_and_takes_unhashable_relations():
+    class Bad:
+        size = 2
+        rel = frozenset({(0, 0), (1, 1)})  # not rooted
+
+    for _ in range(2):
+        with pytest.raises(ModelError, match="not rooted"):
+            frame_shape(Bad())
+
+    class Listed:
+        size = "2"
+        rel = [["0", "0"], ["0", "1"], ["1", "1"]]
+
+    assert frame_shape(Listed()) == (2, frozenset({(0, 0), (0, 1), (1, 1)}))
+
+
+def test_validate_names_the_first_failed_condition():
+    # a two-chain a <= b onto the two-chain 0 <= 1, broken one way at a time
+    chain = PreorderModel(["a", "b"], [("a", "b")], {}, closure="auto")
+    rel = frozenset({(0, 0), (0, 1), (1, 1)})
+    PMorphism(chain, 2, rel, {"a": 0, "b": 1}).validate()
+    broken = [
+        ({"a": 0}, "p-morphism is not total on the source"),
+        ({"a": 0, "b": 0}, "p-morphism is not surjective"),
+        ({"a": 1, "b": 0}, "p-morphism not monotone at (a,b)"),
+    ]
+    for mapping, message in broken:
+        with pytest.raises(ModelError) as info:
+            PMorphism(chain, 2, rel, mapping).validate()
+        assert str(info.value) == message
+    # a and b apart, onto the two-chain: 0 sees 1 but a sees no world at 1
+    apart = PreorderModel(["a", "b"], [("a", "a"), ("b", "b")], {})
+    with pytest.raises(ModelError) as info:
+        PMorphism(apart, 2, rel, {"a": 0, "b": 1}).validate()
+    assert str(info.value) == "back condition fails at a for 1"
 
 
 def test_p_morphism_bad_spec_length():
