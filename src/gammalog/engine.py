@@ -47,8 +47,9 @@ from . import kripke
 from .frame_formulas import OMEGA, RootedFrame
 from .kripke import (
     PreorderModel, eval_on_frame, eval_propositional, generated_submodel, is_confluent,
-    model_from_masks, tile,
+    model_from_masks, select, tile,
 )
+from .refine import RefinementError, refine_model
 from .syntax import (
     And, Atom, Box, Diamond, Formula, Iff, Implies, Not, Or,
     FALSE, TRUE, atoms, node_count, pretty, sort_key, sorted_formulas,
@@ -306,7 +307,7 @@ class TypeSpace:
         for j in self.box_positions:
             letter = self.letters[j]
             self.coherent_mask &= (self._full ^ self.mask(letter)) | self.mask(letter.sub)
-        self.coherent = _bits(self.coherent_mask)
+        self.coherent = select(itertools.count(), self.coherent_mask)
         if len(self.coherent) > budget.max_types:
             raise BudgetExceeded(
                 f"type space has {len(self.coherent)} coherent types "
@@ -323,26 +324,24 @@ class TypeSpace:
         return eval_propositional(f, self._full, self._masks)
 
     def bits(self, f: Formula) -> bytes:
-        """Byte view of a formula's truth mask, for O(1) per-type tests."""
-        f = to_core(f)
-        cached = self._bytes.get(f)
+        """Byte view of a formula's truth mask, for O(1) per-type tests. It
+        is kept under the formula as given too, so ``holds`` finds it again
+        without ``to_core``."""
+        core = to_core(f)
+        cached = self._bytes.get(core)
         if cached is None:
             n_bytes = ((1 << self.k) + 7) >> 3
-            cached = self.mask(f).to_bytes(n_bytes, "little")
-            self._bytes[f] = cached
+            cached = self.mask(core).to_bytes(n_bytes, "little")
+            self._bytes[core] = cached
+        self._bytes[f] = cached
         return cached
 
     def holds(self, f: Formula, assignment: int) -> bool:
-        view = self.bits(f)
+        view = self._bytes.get(f) or self.bits(f)
         return bool(view[assignment >> 3] >> (assignment & 7) & 1)
 
     def sig(self, assignment: int) -> int:
         return assignment & self.box_mask
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    return [hit.start() for hit in re.finditer("1", bin(mask)[:1:-1])]
 
 
 def _eliminate(space: TypeSpace, b: int) -> list[int]:
@@ -383,7 +382,7 @@ def _eliminate(space: TypeSpace, b: int) -> list[int]:
                 down |= down << (1 << p)
             kept &= columns[j] | down
         if kept == alive:
-            return _bits(alive)
+            return select(itertools.count(), alive)
         alive = kept
 
 
@@ -821,8 +820,6 @@ def _sat_uncached(f: Formula, logic: LogicId, budget: Budget):
 def _try_refine_to_class(
     model: PreorderModel, world: str, f: Formula, logic: LogicId
 ) -> Optional[Satisfiable]:
-    from .refine import RefinementError, refine_model
-
     if len(model.worlds) > 80:
         return None
     sigma = subformula_closure([to_core(f)])

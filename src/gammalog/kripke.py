@@ -6,10 +6,12 @@ every deterministic enumeration iterates them in lexicographic order.
 There is one evaluator core, on bitmasks. ``eval_on_frame`` runs it on
 successor bitmasks (bit i is the i-th world in sorted order) and evaluates
 a formula on any number of disjoint copies of one frame at once, each copy
-with its own valuation. A ``PreorderModel`` keeps its masks, and
-``model_check`` reads the one-copy result back as a set of world ids; the
-bounded model search and the interpolant fingerprints put every valuation
-of a small frame in a copy of its own. ``eval_propositional`` runs the same
+with its own valuation. A ``PreorderModel``'s order is its successor masks,
+which construction closes or validates and every query reads (``order`` is
+their view as pairs), and ``model_check`` reads the one-copy result back as
+a set of world ids through ``select``, the one mask decoder; the bounded
+model search and the interpolant fingerprints put every valuation of a
+small frame in a copy of its own. ``eval_propositional`` runs the same
 core with no frame, on points whose atoms and boxed formulas are given as
 letters: the type spaces of ``engine`` evaluate their closures this way.
 Unknown atoms evaluate to the empty set (logged once per model) because
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
@@ -40,13 +43,13 @@ class ModelError(ValueError):
 class PreorderModel:
     """A finite set of worlds with a reflexive-transitive order and valuation.
 
-    ``closure="strict"`` validates that the given order is already a
+    The order is held as successor bitmasks, bit i for the i-th world in
+    sorted order, which every query reads; ``order`` is its view as a set of
+    pairs. ``closure="strict"`` validates that the given order is already a
     preorder; ``closure="auto"`` adds the reflexive-transitive closure.
     """
 
-    __slots__ = (
-        "worlds", "order", "valuation", "_succ", "_masks", "_env", "_cache", "_sets", "_gen",
-    )
+    __slots__ = ("worlds", "order", "valuation", "_masks", "_env", "_cache", "_sets", "_gen")
 
     def __init__(
         self,
@@ -58,41 +61,60 @@ class PreorderModel:
         ws = tuple(sorted(set(worlds)))
         if not ws:
             raise ModelError("a model needs at least one world")
-        wset = set(ws)
-        rel = {(a, b) for a, b in order}
-        for a, b in rel:
-            if a not in wset or b not in wset:
-                raise ModelError(f"order mentions unknown world in ({a}, {b})")
+        index = {w: i for i, w in enumerate(ws)}
+        rel = frozenset((a, b) for a, b in order)
+        try:
+            pairs = [(index[a], index[b]) for a, b in rel]
+        except KeyError:
+            # sorted on the error path only, so the message is the same in every run
+            unknown = min({w for pair in rel for w in pair} - index.keys(), key=str)
+            a, b = min((pair for pair in rel if unknown in pair), key=str)
+            raise ModelError(f"order mentions unknown world in ({a}, {b})") from None
+        masks = [0] * len(ws)
+        for i, j in pairs:
+            masks[i] |= 1 << j
         if closure == "auto":
-            succ = _reflexive_transitive_closure(ws, rel)
-            rel = {(a, b) for a in ws for b in succ[a]}
+            for i in range(len(ws)):
+                masks[i] |= 1 << i
+            for k in range(len(ws)):  # Warshall: whoever sees k sees all k sees
+                bit, reach = 1 << k, masks[k]
+                masks = [mask | reach if mask & bit else mask for mask in masks]
+            rel = frozenset((a, b) for a, mask in zip(ws, masks) for b in select(ws, mask))
         elif closure == "strict":
-            succ = _validate_preorder(ws, rel)
+            for i, w in enumerate(ws):
+                if not masks[i] >> i & 1:
+                    raise ModelError(f"order is not reflexive at {w}")
+            if any(masks[j] & ~masks[i] for i, j in pairs):
+                i, j = min((i, j) for i, j in pairs if masks[j] & ~masks[i])
+                extra = masks[j] & ~masks[i]
+                missing = ws[(extra & -extra).bit_length() - 1]
+                raise ModelError(f"order is not transitive: {ws[i]} <= {ws[j]} <= {missing}")
         else:
             raise ModelError(f"closure mode must be 'auto' or 'strict', got {closure!r}")
         val = {}
         for atom, extension in valuation.items():
             ext = frozenset(extension)
-            bad = ext - wset
+            bad = ext - index.keys()
             if bad:
                 raise ModelError(f"valuation of {atom} mentions unknown worlds {sorted(bad)}")
             val[atom] = ext
         self.worlds: tuple[str, ...] = ws
-        self.order: frozenset[tuple[str, str]] = frozenset(rel)
+        self.order: frozenset[tuple[str, str]] = rel
         self.valuation: dict[str, frozenset[str]] = val
-        self._succ = {w: frozenset(succ[w]) for w in ws}
-        bit = {w: 1 << i for i, w in enumerate(ws)}.__getitem__
-        self._masks = tuple(sum(map(bit, succ[w])) for w in ws)
-        self._env = _Valuation((atom, sum(map(bit, ext))) for atom, ext in val.items())
+        self._masks = tuple(masks)
+        self._env = _Valuation((atom, sum(1 << index[w] for w in ext)) for atom, ext in val.items())
         self._cache: dict[Formula, int] = {}
         self._sets: dict[Formula, frozenset[str]] = {}
         self._gen: dict[frozenset[str], "PreorderModel"] = {}
 
+    def _mask(self, w: str) -> int:
+        i = bisect_left(self.worlds, w)
+        if i == len(self.worlds) or self.worlds[i] != w:
+            raise ModelError(f"unknown world {w!r}")
+        return self._masks[i]
+
     def successors(self, w: str) -> frozenset[str]:
-        try:
-            return self._succ[w]
-        except KeyError:
-            raise ModelError(f"unknown world {w!r}") from None
+        return frozenset(select(self.worlds, self._mask(w)))
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.order
@@ -135,41 +157,14 @@ class _Valuation(dict):
         return self[name]
 
 
-def _reflexive_transitive_closure(
-    worlds: Sequence[str], rel: set[tuple[str, str]]
-) -> dict[str, set[str]]:
-    """Successor sets of the reflexive-transitive closure of rel."""
-    succ = {w: {w} for w in worlds}
-    for a, b in rel:
-        succ[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for w in worlds:
-            extra = set()
-            for v in succ[w]:
-                extra |= succ[v]
-            if not extra <= succ[w]:
-                succ[w] |= extra
-                changed = True
-    return succ
+_BINARY = bytes.maketrans(b"01", b"\0\1")
 
 
-def _validate_preorder(
-    worlds: Sequence[str], rel: set[tuple[str, str]]
-) -> dict[str, set[str]]:
-    """Successor sets of rel, which must be reflexive and transitive."""
-    for w in worlds:
-        if (w, w) not in rel:
-            raise ModelError(f"order is not reflexive at {w}")
-    succ: dict[str, set[str]] = {w: set() for w in worlds}
-    for a, b in rel:
-        succ[a].add(b)
-    for a, b in rel:
-        if not succ[b] <= succ[a]:
-            missing = sorted(succ[b] - succ[a])
-            raise ModelError(f"order is not transitive: {a} <= {b} <= {missing[0]}")
-    return succ
+def select(items: Iterable, mask: int) -> list:
+    """The items at the set bits of mask, in order: bit i selects the i-th
+    item. This is the one decoder of world and type masks."""
+    # the mask's binary digits, least significant first, as 0/1 bytes
+    return list(itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BINARY)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +270,14 @@ def model_check(model: PreorderModel, f: Formula) -> frozenset[str]:
     """The set of worlds satisfying f under the standard Kripke semantics."""
     out = model._sets.get(f)
     if out is None:
-        # the mask's binary digits, least significant (the first world) first
-        bits = bin(eval_on_frame(model._masks, model._env, f, model._cache))[:1:-1]
-        out = frozenset(w for w, bit in zip(model.worlds, bits) if bit == "1")
+        mask = eval_on_frame(model._masks, model._env, f, model._cache)
+        out = frozenset(select(model.worlds, mask))
         model._sets[f] = out
     return out
 
 
 def satisfies(model: PreorderModel, world: str, f: Formula) -> bool:
-    if world not in model._succ:
-        raise ModelError(f"unknown world {world!r}")
+    model._mask(world)  # raises for an unknown world
     return world in model_check(model, f)
 
 
@@ -307,19 +300,17 @@ class ClusterView:
 
 
 def clusters(model: PreorderModel) -> ClusterView:
-    succ = model._succ
-    cluster_of: dict[str, int] = {}
-    ordered: list[frozenset[str]] = []
-    for w in model.worlds:
-        if w not in cluster_of:
-            # worlds come in sorted order, so w is the least of a new cluster
-            cluster = frozenset(v for v in succ[w] if w in succ[v])
-            cluster_of.update(dict.fromkeys(cluster, len(ordered)))
-            ordered.append(cluster)
-    above = [{cluster_of[v] for v in succ[min(c)]} for c in ordered]
+    # in a preorder two worlds share a cluster exactly when they see the same
+    # worlds; worlds come sorted, so clusters are numbered by least world
+    members: dict[int, list[str]] = {}
+    for w, mask in zip(model.worlds, model._masks):
+        members.setdefault(mask, []).append(w)
+    number = {mask: i for i, mask in enumerate(members)}
+    above = [{number[m] for m in select(model._masks, mask)} for mask in members]
     leq = frozenset((i, j) for i, js in enumerate(above) for j in js)
     final = tuple(len(js) == 1 for js in above)
-    return ClusterView(tuple(ordered), leq, final, cluster_of)
+    cluster_of = {w: i for i, ws in enumerate(members.values()) for w in ws}
+    return ClusterView(tuple(map(frozenset, members.values())), leq, final, cluster_of)
 
 
 def cluster_sizes(model: PreorderModel) -> tuple[list[int], list[int]]:
@@ -342,7 +333,7 @@ def generated_submodel(model: PreorderModel, world: str) -> PreorderModel:
         return cached
     sub = PreorderModel(
         keep,
-        {(a, b) for a, b in model.order if a in keep and b in keep},
+        [(a, b) for a in keep for b in model.successors(a)],
         {atom: ext & keep for atom, ext in model.valuation.items()},
     )
     model._gen[keep] = sub
@@ -351,10 +342,9 @@ def generated_submodel(model: PreorderModel, world: str) -> PreorderModel:
 
 def is_confluent(model: PreorderModel) -> bool:
     """True iff any two successors of a common world share a successor."""
-    for w in model.worlds:
-        succ = sorted(model.successors(w))
-        for a, b in itertools.combinations(succ, 2):
-            if not model.successors(a) & model.successors(b):
+    for mask in model._masks:
+        for a, b in itertools.combinations(select(model._masks, mask), 2):
+            if not a & b:
                 return False
     return True
 
@@ -486,12 +476,8 @@ def model_from_masks(succ: Sequence[int], env: Mapping[str, int]) -> PreorderMod
     """The model on worlds w0, w1, ... with successor masks ``succ`` and atom
     extension masks ``env``, as ``eval_on_frame`` reads them."""
     worlds = [f"w{i}" for i in range(len(succ))]
-
-    def members(mask: int) -> list[str]:
-        return [w for i, w in enumerate(worlds) if mask >> i & 1]
-
-    order = {(a, b) for a, mask in zip(worlds, succ) for b in members(mask)}
-    return PreorderModel(worlds, order, {name: members(bits) for name, bits in env.items()})
+    order = [(a, b) for a, mask in zip(worlds, succ) for b in select(worlds, mask)]
+    return PreorderModel(worlds, order, {name: select(worlds, bits) for name, bits in env.items()})
 
 
 def model_from_dict(data: Mapping) -> PreorderModel:

@@ -187,26 +187,16 @@ class SmorynskiModel:
     logic: LogicId = LogicId("Int", float("inf"), float("inf"))
 
     def to_json_dict(self) -> dict:
-        """Kripke JSON with worlds renamed to their sorted member lists."""
-        rename = {wid: self.worlds[wid].label() for wid in self.model.worlds}
-        raw = model_to_dict(self.model)
-        return {
-            "worlds": sorted(rename[w] for w in raw["worlds"]),
-            "order": sorted([rename[a], rename[b]] for a, b in raw["order"]),
-            "valuation": {
-                atom: sorted(rename[w] for w in ws)
-                for atom, ws in raw["valuation"].items()
-            },
-            "closure": "strict",
-        }
+        """Kripke JSON; each world is named by its sorted member list."""
+        return model_to_dict(self.model)
 
 
 def _maximal_sets_from_types(
     closure: SignedClosure, logic: LogicId, budget: Budget
-) -> tuple[list[Formula], list[tuple[int, MaximalSet]]]:
+) -> tuple[list[Formula], list[tuple[str, int, MaximalSet]]]:
     """The type space's letters and the maximal inseparable sets as
-    (surviving type assignment, set) pairs, in label order. Sigma holds
-    every letter, so distinct types give distinct sets.
+    (label, surviving type assignment, set) triples, in label order. Sigma
+    holds every letter, so distinct types give distinct sets.
 
     For the (w,w) logics the base-logic elimination is exactly the
     consistency oracle; for bounded logics each surviving type is re-checked
@@ -220,10 +210,11 @@ def _maximal_sets_from_types(
     for i in sorted(survivors):
         t1 = frozenset(f for f in closure.sigma1 if space.holds(f, i))
         t2 = frozenset(f for f in closure.sigma2 if space.holds(f, i))
-        out.append((i, MaximalSet(t1, t2)))
-    out.sort(key=lambda pair: pair[1].label())
+        ms = MaximalSet(t1, t2)
+        out.append((ms.label(), i, ms))
+    out.sort()  # by label; distinct types break a tie
     if not logic.unbounded:
-        out = [(i, ms) for i, ms in out if _consistent(ms.members, logic, budget)]
+        out = [triple for triple in out if _consistent(triple[2].members, logic, budget)]
     return space.letters, out
 
 
@@ -234,18 +225,15 @@ def build_smorynski_model(
 ) -> SmorynskiModel:
     """Build the canonical model over all maximal inseparable sets.
 
-    Worlds carry short ids in memory; ``to_json_dict`` serializes them under
-    their sorted member lists. The model is built once the type space (and
-    its 2^k-bit masks) is gone.
+    Each world's id is its label, the sorted list of its members. The model
+    is built once the type space (and its 2^k-bit masks) is gone.
     """
     budget = budget or Budget()
     letters, maximal = _maximal_sets_from_types(closure, logic, budget)
     if not maximal:
         raise OracleUndecided("no maximal inseparable sets; is the logic consistent?")
-    width = len(str(len(maximal)))
-    ids = {i: f"m{idx:0{width}d}" for idx, (i, _) in enumerate(maximal)}
-    model = _engine.types_to_model(letters, ids)
-    return SmorynskiModel(model, {ids[i]: ms for i, ms in maximal}, closure, logic)
+    model = _engine.types_to_model(letters, {i: label for label, i, _ in maximal})
+    return SmorynskiModel(model, {label: ms for label, _, ms in maximal}, closure, logic)
 
 
 def truth_lemma_violations(sm: SmorynskiModel) -> list[tuple[str, Formula]]:

@@ -26,9 +26,9 @@ from .kripke import (
     model_from_masks,
 )
 from .syntax import (
-    And, Atom, Bottom, Box, Diamond, Formula, Not, Or, FALSE, TRUE,
+    And, Atom, Bottom, Box, Diamond, Formula, Implies, Not, Or, FALSE, TRUE,
     all_canonical_modalities, apply_prefix, atoms, boolean_subformula_closure,
-    modal_depth, normalize_modality, parse, pretty,
+    iter_negation_pairs, modal_depth, normalize_modality, parse, pretty,
     SignedClosure, sorted_formulas, subformula_closure, to_core,
 )
 
@@ -233,7 +233,6 @@ def _order_matches_boxes(sm: smorynski.SmorynskiModel) -> bool:
 
 
 def _maximality_holds(sm: smorynski.SmorynskiModel) -> bool:
-    from .syntax import iter_negation_pairs
     pairs = {side: list(iter_negation_pairs(sm.closure.side(side))) for side in (1, 2)}
     for ms in sm.worlds.values():
         for side, tset in ((1, ms.t1), (2, ms.t2)):
@@ -519,7 +518,6 @@ def suite_interpolation(scale: float = 1.0) -> tuple[bool, str]:
             chi = result.formula
             if not atoms(chi) <= (atoms(f1) & atoms(f2)):
                 failures.append((str(logic), "vocabulary", pretty(chi)))
-            from .syntax import Implies
             if not isinstance(valid(Implies(f1, chi), logic, budget), Valid):
                 failures.append((str(logic), "left check", pretty(chi)))
             if not isinstance(valid(Implies(chi, f2), logic, budget), Valid):
@@ -535,7 +533,6 @@ def suite_interpolation(scale: float = 1.0) -> tuple[bool, str]:
             if not isinstance(result, NotValid):
                 failures.append((str(logic), "expected NotValid", pretty(f1), pretty(f2)))
                 continue
-            from .syntax import Implies
             if kripke.satisfies(result.model, result.world, Implies(f1, f2)):
                 failures.append((str(logic), "countermodel does not refute"))
             if not in_frame_class(result.model, logic):

@@ -485,42 +485,32 @@ def _reduce_prefix(word: str) -> str:
     return word
 
 
-def _prefix_to_word(prefix: Sequence[str] | str) -> str:
-    if isinstance(prefix, str):
-        tokens: list[str] = []
-        i = 0
-        while i < len(prefix):
-            ch = prefix[i]
-            if ch in "~¬":
-                tokens.append("N")
-                i += 1
-            elif prefix.startswith("[]", i):
-                tokens.append("B")
-                i += 2
-            elif ch == "□":
-                tokens.append("B")
-                i += 1
-            elif ch.isspace():
-                i += 1
-            else:
-                raise FormulaError(f"bad modality character {ch!r}")
-        return "".join(tokens)
-    out = []
-    for tok in prefix:
-        if tok in ("~", "¬", "N", "not"):
-            out.append("N")
-        elif tok in ("[]", "□", "B", "box"):
-            out.append("B")
+def _prefix_to_word(prefix: str) -> str:
+    tokens: list[str] = []
+    i = 0
+    while i < len(prefix):
+        ch = prefix[i]
+        if ch in "~¬":
+            tokens.append("N")
+            i += 1
+        elif prefix.startswith("[]", i):
+            tokens.append("B")
+            i += 2
+        elif ch == "□":
+            tokens.append("B")
+            i += 1
+        elif ch.isspace():
+            i += 1
         else:
-            raise FormulaError(f"bad modality token {tok!r}")
-    return "".join(out)
+            raise FormulaError(f"bad modality character {ch!r}")
+    return "".join(tokens)
 
 
 def _word_to_prefix(word: str) -> str:
     return "".join("~" if ch == "N" else "[]" for ch in word)
 
 
-def normalize_modality(prefix: Sequence[str] | str) -> str:
+def normalize_modality(prefix: str) -> str:
     """Canonical form of a ~/[] prefix under S4 equivalence.
 
     The result is one of exactly 14 strings; applying input and output to

@@ -5,7 +5,8 @@ bitmask evaluator.
 operations, straight from the definitions, and ``clusters_reference``
 partitions a model by comparing every pair of worlds with ``leq``. Both
 read only a model's public interface (``worlds``, ``valuation``,
-``successors``, ``leq``).
+``successors``, ``leq``). ``reflexive_transitive_closure`` closes a
+relation on sets of world ids by iterating to a fixed point.
 """
 
 from gammalog.kripke import ClusterView
@@ -50,6 +51,24 @@ def model_check_reference(model, f, cache=None):
         raise ValueError(f"unknown formula node {f!r}")
     cache[f] = out
     return out
+
+
+def reflexive_transitive_closure(worlds, rel) -> dict:
+    """Successor sets of the reflexive-transitive closure of rel."""
+    succ = {w: {w} for w in worlds}
+    for a, b in rel:
+        succ[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for w in worlds:
+            extra = set()
+            for v in succ[w]:
+                extra |= succ[v]
+            if not extra <= succ[w]:
+                succ[w] |= extra
+                changed = True
+    return succ
 
 
 def clusters_reference(model) -> ClusterView:

@@ -185,26 +185,31 @@ def test_selftest_unknown_suite(capsys):
     assert code == 2 and "unknown suite" in err
 
 
-def test_one_parser_serves_every_call_in_a_process(capsys):
-    # a usage error, help and two different subcommands in one process
-    # print what each prints alone in a fresh process
+def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path):
+    # a usage error, help and three different subcommands in one process
+    # print what each prints alone in a fresh process, and again under
+    # python -O, which strips asserts: verification never depends on them
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("p & []q\n", encoding="utf-8")
     calls = [
         ["check", "[]p -> p"],
         ["countermodel", "--help"],
         ["check", "--logic", "S4", "[]p -> p"],
         ["--format", "json", "countermodel", "--logic", "S4", "--max-worlds", "3",
          "<>[]p -> []<>p"],
+        ["smorynski", "--logic", "S4.2", "--sigma1", str(sigma)],
     ]
     cli._parser.cache_clear()
     together = [run(capsys, *argv) for argv in calls]
-    assert [code for code, _, _ in together] == [2, 0, 0, 0]
+    assert [code for code, _, _ in together] == [2, 0, 0, 0, 0]
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gammalog.__file__).parents[1]))
-    for argv, result in zip(calls, together):
-        alone = subprocess.run(
-            [sys.executable, "-m", "gammalog.cli", *argv],
-            capture_output=True, text=True, env=env, check=False,
-        )
-        assert (alone.returncode, alone.stdout, alone.stderr) == result, argv
+    for flags in ([], ["-O"]):
+        for argv, result in zip(calls, together):
+            alone = subprocess.run(
+                [sys.executable, *flags, "-m", "gammalog.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert (alone.returncode, alone.stdout, alone.stderr) == result, (flags, argv)
 
 
 def test_deterministic_output(capsys):

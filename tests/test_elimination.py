@@ -6,14 +6,16 @@ letter it looks for a witness signature directly. ``base_models`` must give
 exactly the same (survivors, top) pairs, in the same order.
 """
 
+import itertools
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gammalog.engine import (
-    Budget, BudgetExceeded, LogicError, TypeSpace, _bits, _column, base_models,
+    Budget, BudgetExceeded, LogicError, TypeSpace, _column, base_models,
 )
+from gammalog.kripke import select
 from gammalog.syntax import (
     And, Atom, Bottom, Box, Diamond, Implies, Not, Or, SignedClosure, Top, parse,
     sorted_formulas,
@@ -162,4 +164,7 @@ def test_bits_matches_a_naive_scan():
     masks += [rng.getrandbits(rng.randrange(1, 300)) for _ in range(200)]
     masks += [sum(1 << rng.randrange(1 << 12) for _ in range(30)) for _ in range(20)]
     for mask in masks:
-        assert _bits(mask) == _bits_naive(mask), mask
+        positions = _bits_naive(mask)
+        assert select(itertools.count(), mask) == positions, mask
+        items = [f"w{i}" for i in range(mask.bit_length() + 3)]
+        assert select(items, mask) == [items[i] for i in positions], mask

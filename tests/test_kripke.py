@@ -1,9 +1,14 @@
 import itertools
 import logging
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gammalog
 from gammalog.frame_formulas import cluster_frame
 from gammalog.kripke import (
     ModelError, PMorphism, PreorderModel, clusters, cluster_sizes, dump_model,
@@ -11,7 +16,7 @@ from gammalog.kripke import (
     model_check, model_from_dict,
 )
 from gammalog.syntax import Atom, Box, parse
-from kripke_reference import clusters_reference
+from kripke_reference import clusters_reference, reflexive_transitive_closure
 
 
 def total(worlds):
@@ -36,6 +41,77 @@ def test_construction_validates_preorder():
     assert message(["a"], [("a", "a")], closure="none") == (
         "closure mode must be 'auto' or 'strict', got 'none'"
     )
+    # several defects: the least offending pair and the least unknown world
+    # are named, whatever order the set of pairs iterates in
+    for worlds, order, expected in _SEVERAL_DEFECTS:
+        assert message(worlds, order) == expected
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gammalog.__file__).parents[1]))
+    script = (
+        "from gammalog.kripke import ModelError, PreorderModel\n"
+        f"for worlds, order, _ in {_SEVERAL_DEFECTS!r}:\n"
+        "    try:\n"
+        "        PreorderModel(worlds, order, {})\n"
+        "    except ModelError as exc:\n"
+        "        print(exc)\n"
+    )
+    for seed in ("1", "4"):
+        printed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(env, PYTHONHASHSEED=seed), check=True,
+        ).stdout
+        assert printed.splitlines() == [expected for _, _, expected in _SEVERAL_DEFECTS], seed
+
+
+_SEVERAL_DEFECTS = [
+    (
+        "abcd",
+        [(w, w) for w in "abcd"] + [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")],
+        "order is not transitive: a <= c <= d",
+    ),
+    (
+        "a",
+        [("a", "a"), ("a", "y"), ("a", "z"), ("x", "a")],
+        "order mentions unknown world in (x, a)",
+    ),
+]
+
+
+def _check_closure_against_the_reference(worlds, rel):
+    succ = reflexive_transitive_closure(worlds, rel)
+    closed = {(a, b) for a in worlds for b in succ[a]}
+    auto = PreorderModel(worlds, rel, {}, closure="auto")
+    assert auto.order == closed
+    for w in worlds:
+        assert auto.successors(w) == succ[w]
+    try:
+        strict = PreorderModel(worlds, rel, {})
+    except ModelError:
+        assert set(rel) != closed
+    else:
+        assert set(rel) == closed and strict.order == closed
+
+
+def test_closure_matches_the_reference_on_every_three_world_relation():
+    worlds = ["a", "b", "c"]
+    pairs = [(a, b) for a in worlds for b in worlds]
+    for bits in range(1 << len(pairs)):
+        _check_closure_against_the_reference(
+            worlds, [pair for i, pair in enumerate(pairs) if bits >> i & 1]
+        )
+
+
+@st.composite
+def _relations(draw):
+    size = draw(st.integers(min_value=1, max_value=6))
+    worlds = [f"x{i}" for i in range(size)]
+    rel = draw(st.sets(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds))))
+    return worlds, rel
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relations())
+def test_closure_matches_the_reference_on_random_relations(case):
+    _check_closure_against_the_reference(*case)
 
 
 def test_successors_match_the_order_on_every_four_world_preorder():

@@ -1,7 +1,7 @@
 import pytest
 
 from gammalog.engine import parse_logic
-from gammalog.kripke import is_confluent, model_check
+from gammalog.kripke import is_confluent, model_check, model_to_dict
 from gammalog.smorynski import (
     Inseparable, OracleUndecided, SeparableError, Separable,
     build_smorynski_model, extend_to_maximal, is_separable,
@@ -175,6 +175,10 @@ def test_smorynski_json_dump_names_worlds_by_members(tmp_path):
     assert len(payload["worlds"]) == len(sm.model.worlds)
     for name in payload["worlds"]:
         assert name.startswith("{") and name.endswith("}")
+    # every world is named by its label, so the dump is the model's own
+    assert all(wid == ms.label() for wid, ms in sm.worlds.items())
+    assert sorted(sm.worlds) == list(sm.model.worlds)
+    assert payload == model_to_dict(sm.model)
     # loadable as a kripke model
     from gammalog.kripke import model_from_dict
     again = model_from_dict(payload)
