@@ -5,13 +5,15 @@ refine, smorynski, catalog, selftest. Output is deterministic text, or the
 equivalent JSON ({"v": 1, ...}) with --format json.
 
 Exit codes: 0 definite answer, 1 definite negative (Invalid / NotValid /
-no countermodel found), 2 usage error, 3 unknown or resource exhaustion.
+no countermodel found), 2 usage error, 3 unknown or resource exhaustion,
+141 (128 + SIGPIPE) when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import Optional
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -64,10 +67,10 @@ def _formula(text: str):
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps({"v": 1, **payload}, sort_keys=True))
+        print(json.dumps({"v": 1, **payload}, sort_keys=True), flush=True)
     else:
         for line in text_lines:
-            print(line)
+            print(line, flush=True)
 
 
 def _model_line(args, model, written: str) -> str:
@@ -233,8 +236,8 @@ def cmd_smorynski(args) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         lines = [f"{len(sm.model.worlds)} worlds written to {args.out}"]
-    else:
-        lines = [json.dumps(payload, sort_keys=True)]
+    else:  # JSON output carries the model in its payload, so only text needs the line
+        lines = [json.dumps(payload, sort_keys=True)] if args.format == "text" else []
     _emit(args, {"worlds": len(sm.model.worlds), "model": payload}, lines)
     return EXIT_OK
 
@@ -281,7 +284,7 @@ def cmd_selftest(args) -> int:
             )
         ok, detail = suites.SUITES[name](scale=args.scale)
         status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
+        print(f"{status} {name}: {detail}", flush=True)
         if not ok:
             failures += 1
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
@@ -378,6 +381,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the interpreter flushes what is left at exit: send it nowhere, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

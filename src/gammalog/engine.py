@@ -52,7 +52,7 @@ from .kripke import (
 from .refine import RefinementError, refine_model
 from .syntax import (
     And, Atom, Box, Diamond, Formula, Iff, Implies, Not, Or,
-    FALSE, TRUE, atoms, node_count, pretty, sort_key, sorted_formulas,
+    FALSE, TRUE, atoms, pretty, sort_key, sorted_formulas,
     subformula_closure, to_core,
 )
 
@@ -299,9 +299,12 @@ class TypeSpace:
                 f"type space needs {self.k} letters (cap {budget.max_letters})"
             )
         self._full = (1 << (1 << self.k)) - 1
-        self._masks: dict[Formula, int] = {}
+        # letter j holds at the assignments with bit j set
+        self.columns = [_column(j, self.k) for j in range(self.k)]
+        self._masks: dict[Formula, int] = dict(zip(self.letters, self.columns))
         self._bytes: dict[Formula, bytes] = {}
         self.box_positions = [j for j, f in enumerate(self.letters) if isinstance(f, Box)]
+        self.atom_positions = [j for j, f in enumerate(self.letters) if isinstance(f, Atom)]
         self.box_mask = sum(1 << j for j in self.box_positions)
         self.coherent_mask = self._full
         for j in self.box_positions:
@@ -318,9 +321,6 @@ class TypeSpace:
         f = to_core(f)
         if f not in self.closure:
             raise LogicError(f"formula outside the type space closure: {pretty(f)}")
-        if not self._masks:
-            # letter j holds at the assignments with bit j set
-            self._masks.update((letter, _column(j, self.k)) for j, letter in enumerate(self.letters))
         return eval_propositional(f, self._full, self._masks)
 
     def bits(self, f: Formula) -> bytes:
@@ -344,6 +344,16 @@ class TypeSpace:
         return assignment & self.box_mask
 
 
+def _same_signatures(space: TypeSpace, mask: int, down: Iterable[int]) -> int:
+    """The assignments with the box signature of some point of mask once it
+    is down-closed over the letter bits ``down`` (every atom bit among them)."""
+    for p in down:
+        mask |= (mask & space.columns[p]) >> (1 << p)
+    for p in space.atom_positions:
+        mask |= (mask << (1 << p)) & space.columns[p]
+    return mask
+
+
 def _eliminate(space: TypeSpace, b: int) -> list[int]:
     """Greatest set of coherent types with box signature inside b whose
     missing boxes in b all have witnesses.
@@ -354,33 +364,22 @@ def _eliminate(space: TypeSpace, b: int) -> list[int]:
     signature b refutes their cores above every world.
 
     Each round answers every obligation for j at once, bit-parallel over the
-    2^k assignments: the witnesses ``alive & ~core_j`` are down-closed over
-    every letter bit, the points with no atom bit set then mark exactly the
-    signatures below some witness's, and spreading those points back over
-    the atom bits marks the types whose obligation for j is met.
+    2^k assignments: down-closing the witnesses ``alive & ~core_j`` over
+    every letter bit reaches the signatures below some witness's, and
+    ``_same_signatures`` marks the types of those signatures, which are the
+    types whose obligation for j is met.
     """
-    columns = [space.mask(letter) for letter in space.letters]
-    atom_bits = [p for p in range(space.k) if not space.box_mask >> p & 1]
-    any_atom = 0
-    for p in atom_bits:
-        any_atom |= columns[p]
     alive = space.coherent_mask
     cores = {}
     for j in space.box_positions:
         if b >> j & 1:
             cores[j] = space.mask(space.letters[j].sub)
         else:
-            alive &= ~columns[j]
+            alive &= ~space.columns[j]
     while True:
         kept = alive
         for j, core in cores.items():
-            down = alive & ~core
-            for p, column in enumerate(columns):
-                down |= (down & column) >> (1 << p)
-            down &= ~any_atom
-            for p in atom_bits:
-                down |= down << (1 << p)
-            kept &= columns[j] | down
+            kept &= space.columns[j] | _same_signatures(space, alive & ~core, range(space.k))
         if kept == alive:
             return select(itertools.count(), alive)
         alive = kept
@@ -399,21 +398,22 @@ def base_models(
     ascending order: its top holds every coherent type of signature b (the
     largest possible final cluster, which dominates every smaller choice),
     and it is viable when the top refutes the core of every box letter
-    outside b. A top type has no obligation inside b, so top is always a
-    subset of the survivors.
+    outside b, which one mask over the types answers for every b at once.
+    A top type has no obligation inside b, so top is always a subset of the
+    survivors.
     """
     if not confluent:
         yield _eliminate(space, space.box_mask), []
         return
+    viable = space.coherent_mask
+    for j in space.box_positions:
+        refuters = space.coherent_mask & ~space.mask(space.letters[j].sub)
+        viable &= space.columns[j] | _same_signatures(space, refuters, space.atom_positions)
     by_sig: dict[int, list[int]] = {}
-    for i in space.coherent:
+    for i in select(itertools.count(), viable):
         by_sig.setdefault(space.sig(i), []).append(i)
     for b, top in sorted(by_sig.items()):
-        if all(
-            any(not space.holds(space.letters[j].sub, i) for i in top)
-            for j in space.box_positions if not b >> j & 1
-        ):
-            yield _eliminate(space, b), top
+        yield _eliminate(space, b), top
 
 
 def types_to_model(
@@ -898,10 +898,7 @@ def _candidate_stream(names: Sequence[str], max_candidates: int) -> Iterator[For
         while top < wave_cap:
             top += 1
             by_size[top] = size_layer(by_size, top)
-        wave = [
-            f for s in range(1, top + 1) for f in by_size[s]
-            if node_count(f) > previous
-        ]
+        wave = [f for s in range(previous + 1, top + 1) for f in by_size[s]]
         wave.sort(key=sort_key)
         for f in wave:
             yield f

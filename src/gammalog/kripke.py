@@ -485,8 +485,11 @@ def model_from_dict(data: Mapping) -> PreorderModel:
         worlds = data["worlds"]
         order = [tuple(pair) for pair in data["order"]]
         valuation = data.get("valuation", {})
-    except (KeyError, TypeError) as exc:
+        id_types = set(map(type, itertools.chain(worlds, *order, *valuation.values())))
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ModelError(f"malformed model object: {exc}") from exc
+    if set(map(len, order)) - {2} or id_types - {str}:
+        raise ModelError("world ids must be strings, and order entries pairs of them")
     closure = data.get("closure", "strict")
     return PreorderModel(worlds, order, valuation, closure=closure)
 

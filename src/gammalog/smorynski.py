@@ -59,7 +59,11 @@ class MaximalSet:
         return self.t1 | self.t2
 
     def label(self) -> str:
-        return "{" + ", ".join(pretty(f) for f in sorted_formulas(self.members)) + "}"
+        return _label(pretty(f) for f in sorted_formulas(self.members))
+
+
+def _label(names: Iterable[str]) -> str:
+    return "{" + ", ".join(names) + "}"
 
 
 def _sides(T, closure: SignedClosure) -> tuple[frozenset, frozenset]:
@@ -196,22 +200,26 @@ def _maximal_sets_from_types(
 ) -> tuple[list[Formula], list[tuple[str, int, MaximalSet]]]:
     """The type space's letters and the maximal inseparable sets as
     (label, surviving type assignment, set) triples, in label order. Sigma
-    holds every letter, so distinct types give distinct sets.
+    holds every letter, so distinct types give distinct sets. Sigma is
+    sorted once, so filtering it by a type's bit gives the type's members in
+    ``sort_key`` order, and the label joins their printed forms.
 
     For the (w,w) logics the base-logic elimination is exactly the
     consistency oracle; for bounded logics each surviving type is re-checked
     with the full engine and the construction aborts on any Unknown.
     """
-    space = _engine.TypeSpace(sorted_formulas(closure.sigma), budget)
+    sigma = sorted_formulas(closure.sigma)
+    space = _engine.TypeSpace(sigma, budget)
     survivors = set()
     for alive, _ in _engine.base_models(space, logic.confluent):
         survivors.update(alive)
+    table = [(f, pretty(f), space.bits(f)) for f in sigma]
     out = []
     for i in sorted(survivors):
-        t1 = frozenset(f for f in closure.sigma1 if space.holds(f, i))
-        t2 = frozenset(f for f in closure.sigma2 if space.holds(f, i))
-        ms = MaximalSet(t1, t2)
-        out.append((ms.label(), i, ms))
+        held = [(f, name) for f, name, view in table if view[i >> 3] >> (i & 7) & 1]
+        members = frozenset(f for f, _ in held)
+        ms = MaximalSet(members & closure.sigma1, members & closure.sigma2)
+        out.append((_label(name for _, name in held), i, ms))
     out.sort()  # by label; distinct types break a tie
     if not logic.unbounded:
         out = [triple for triple in out if _consistent(triple[2].members, logic, budget)]

@@ -7,15 +7,17 @@ runs ``eval_on_frame`` once per valuation, in ``itertools.product`` order,
 re-checking each hit on a validated model. ``fingerprint_reference`` is the
 interpolant fingerprint on one ``eval_on_frame`` call per frame and
 valuation of the first two atoms, over ``fingerprint_zoo_reference``.
+``candidate_stream_reference`` builds each interpolant candidate wave by
+filtering every size layer built so far by node count.
 """
 
 import itertools
 from functools import lru_cache
 
 from gammalog import kripke
-from gammalog.engine import in_frame_class, labeled_preorders
+from gammalog.engine import in_frame_class, labeled_preorders, size_layer
 from gammalog.kripke import eval_on_frame, model_from_masks
-from gammalog.syntax import atoms
+from gammalog.syntax import FALSE, TRUE, Atom, atoms, node_count, sort_key
 
 
 @lru_cache(maxsize=None)
@@ -74,3 +76,25 @@ def fingerprint_zoo_reference(names):
 
 def fingerprint_reference(f, zoo):
     return tuple(eval_on_frame(succ, env, f, cache) for succ, env, cache in zoo)
+
+
+def candidate_stream_reference(names, max_candidates):
+    by_size = {1: [FALSE, TRUE] + [Atom(n) for n in sorted(names)]}
+    emitted = 0
+    top = 1
+    previous = 0
+    for wave_cap in (4, 6, 8, 10):
+        while top < wave_cap:
+            top += 1
+            by_size[top] = size_layer(by_size, top)
+        wave = [
+            f for s in range(1, top + 1) for f in by_size[s]
+            if node_count(f) > previous
+        ]
+        wave.sort(key=sort_key)
+        for f in wave:
+            yield f
+            emitted += 1
+            if emitted >= max_candidates:
+                return
+        previous = wave_cap

@@ -4,10 +4,15 @@
 negation) choices with inseparability pruning, asking the consistency
 oracle at every step, instead of reading the sets off the surviving types
 of one elimination as ``build_smorynski_model`` does.
+
+``maximal_sets_by_scan`` reads the sets off the same surviving types as
+``smorynski._maximal_sets_from_types``, but asks ``TypeSpace.holds`` for
+each (side member, type) and names each set with ``MaximalSet.label``.
 """
 
+from gammalog import engine
 from gammalog.smorynski import MaximalSet, _class_polarity, _consistent
-from gammalog.syntax import iter_negation_pairs
+from gammalog.syntax import iter_negation_pairs, sorted_formulas
 
 
 def maximal_sets_by_branching(closure, logic, budget=None):
@@ -33,3 +38,20 @@ def maximal_sets_by_branching(closure, logic, budget=None):
 
     walk(0, {1: frozenset(), 2: frozenset()})
     return sorted(results.values(), key=lambda ms: ms.label())
+
+
+def maximal_sets_by_scan(closure, logic, budget):
+    space = engine.TypeSpace(sorted_formulas(closure.sigma), budget)
+    survivors = set()
+    for alive, _ in engine.base_models(space, logic.confluent):
+        survivors.update(alive)
+    out = []
+    for i in sorted(survivors):
+        t1 = frozenset(f for f in closure.sigma1 if space.holds(f, i))
+        t2 = frozenset(f for f in closure.sigma2 if space.holds(f, i))
+        ms = MaximalSet(t1, t2)
+        out.append((ms.label(), i, ms))
+    out.sort()
+    if not logic.unbounded:
+        out = [triple for triple in out if _consistent(triple[2].members, logic, budget)]
+    return space.letters, out

@@ -126,6 +126,21 @@ def test_refine_command(capsys, tmp_path):
     assert len(refined["worlds"]) == 3
 
 
+@pytest.mark.parametrize("model", [
+    {"worlds": [1, "a"], "order": [[1, 1], ["a", "a"]]},
+    {"worlds": [["x"]], "order": []},
+], ids=["int-world", "list-world"])
+def test_refine_non_string_world_ids_are_a_usage_error(capsys, tmp_path, model):
+    model_file = tmp_path / "m.json"
+    model_file.write_text(json.dumps(model))
+    sigma_file = tmp_path / "sigma.txt"
+    sigma_file.write_text("p\n")
+    code, out, err = run(capsys, "refine", str(model_file), "--sigma", str(sigma_file),
+                         "--m", "2", "--n", "2")
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot load model:")
+
+
 def test_smorynski_command(capsys, tmp_path):
     sigma = tmp_path / "seeds.txt"
     sigma.write_text("p\n")
@@ -210,6 +225,25 @@ def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path):
                 capture_output=True, text=True, env=env, check=False,
             )
             assert (alone.returncode, alone.stdout, alone.stderr) == result, (flags, argv)
+
+
+def test_reader_closing_stdout_early_exits_without_a_traceback(tmp_path):
+    # the model's JSON line is far longer than a pipe holds, so the CLI is
+    # still writing when the reader leaves after a few bytes
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("p & []q\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gammalog.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gammalog.cli", "smorynski", "--logic", "S4.2",
+         "--sigma1", str(sigma)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(100).startswith(b'{"closure"')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 def test_deterministic_output(capsys):

@@ -4,13 +4,14 @@ from gammalog.engine import (
     ALL_LOGICS, Budget, Interpolant, Invalid, LogicError,
     LogicId, NotValid, Satisfiable, TypeSpace, Unknown, Unsatisfiable, Valid,
     base_models, catalog, countermodel_search, equivalent, find_interpolant,
-    in_frame_class, parse_logic, sat, valid,
+    _candidate_stream, in_frame_class, parse_logic, sat, valid,
 )
 from gammalog.frame_formulas import OMEGA, gamma
 from gammalog.kripke import satisfies
 from gammalog.syntax import (
     SignedClosure, Top, atoms, parse, pretty, sorted_formulas,
 )
+from engine_reference import candidate_stream_reference
 
 S4 = parse_logic("S4")
 S42 = parse_logic("S4.2")
@@ -228,6 +229,14 @@ def test_interpolant_gamma_axiom():
 
 
 # --- catalog ----------------------------------------------------------------------------
+
+def test_candidate_waves_match_the_filtered_reference():
+    # a size layer holds formulas of exactly its node count, so each wave
+    # takes the layers above the previous cap without filtering them
+    names = ["p", "q"]
+    assert list(_candidate_stream(names, 1500)) == \
+        list(candidate_stream_reference(names, 1500))
+
 
 def test_catalog_counts():
     entries = catalog()

@@ -1,17 +1,18 @@
 import pytest
 
-from gammalog.engine import parse_logic
+from gammalog.engine import Budget, parse_logic
 from gammalog.kripke import is_confluent, model_check, model_to_dict
 from gammalog.smorynski import (
     Inseparable, OracleUndecided, SeparableError, Separable,
-    build_smorynski_model, extend_to_maximal, is_separable,
+    _maximal_sets_from_types, build_smorynski_model, extend_to_maximal, is_separable,
     truth_lemma_violations,
 )
+from gammalog.suites import _TRUTH_SEEDS
 from gammalog.syntax import (
     Atom, Box, Bottom, SignedClosure, atoms, iter_negation_pairs, parse,
     pretty,
 )
-from smorynski_reference import maximal_sets_by_branching
+from smorynski_reference import maximal_sets_by_branching, maximal_sets_by_scan
 
 S4 = parse_logic("S4")
 S42 = parse_logic("S4.2")
@@ -133,6 +134,20 @@ def test_smorynski_strategies_agree():
         slow = maximal_sets_by_branching(closure, logic)
         assert sorted(w.label() for w in fast.worlds.values()) == \
             sorted(w.label() for w in slow), (str(logic), left, right)
+
+
+@pytest.mark.parametrize("logic, seeds", [
+    ("S4", _TRUTH_SEEDS), ("S4.2", _TRUTH_SEEDS), ("G(KC,2,2)", [("p", "q")]),
+])
+def test_maximal_sets_match_the_per_type_scan(logic, seeds):
+    # labels, types and sides read off the presorted closure equal a
+    # holds() scan per (member, type) named by MaximalSet.label
+    logic = parse_logic(logic)
+    budget = Budget(max_letters=24, max_types=250_000)
+    for left, right in seeds:
+        closure = SignedClosure.from_seeds([parse(left)], [parse(right)])
+        assert _maximal_sets_from_types(closure, logic, budget) == \
+            maximal_sets_by_scan(closure, logic, budget), (str(logic), left, right)
 
 
 def test_smorynski_equivalent_members_co_decided():
