@@ -40,14 +40,14 @@ import itertools
 import re
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import kripke
 from .frame_formulas import OMEGA, RootedFrame
 from .kripke import (
-    PreorderModel, eval_on_frame, eval_propositional, generated_submodel, is_confluent,
-    model_from_masks, select, tile,
+    PreorderModel, eval_on_frame, eval_propositional, is_confluent, model_from_masks,
+    select, tile,
 )
 from .refine import RefinementError, refine_model
 from .syntax import (
@@ -302,7 +302,6 @@ class TypeSpace:
         # letter j holds at the assignments with bit j set
         self.columns = [_column(j, self.k) for j in range(self.k)]
         self._masks: dict[Formula, int] = dict(zip(self.letters, self.columns))
-        self._bytes: dict[Formula, bytes] = {}
         self.box_positions = [j for j, f in enumerate(self.letters) if isinstance(f, Box)]
         self.atom_positions = [j for j, f in enumerate(self.letters) if isinstance(f, Atom)]
         self.box_mask = sum(1 << j for j in self.box_positions)
@@ -310,12 +309,13 @@ class TypeSpace:
         for j in self.box_positions:
             letter = self.letters[j]
             self.coherent_mask &= (self._full ^ self.mask(letter)) | self.mask(letter.sub)
-        self.coherent = select(itertools.count(), self.coherent_mask)
-        if len(self.coherent) > budget.max_types:
-            raise BudgetExceeded(
-                f"type space has {len(self.coherent)} coherent types "
-                f"(cap {budget.max_types})"
-            )
+        if (n := self.coherent_mask.bit_count()) > budget.max_types:
+            raise BudgetExceeded(f"type space has {n} coherent types (cap {budget.max_types})")
+
+    @cached_property
+    def coherent(self) -> list[int]:
+        """The coherent assignments, ascending."""
+        return select(itertools.count(), self.coherent_mask)
 
     def mask(self, f: Formula) -> int:
         f = to_core(f)
@@ -324,24 +324,8 @@ class TypeSpace:
         return eval_propositional(f, self._full, self._masks)
 
     def bits(self, f: Formula) -> bytes:
-        """Byte view of a formula's truth mask, for O(1) per-type tests. It
-        is kept under the formula as given too, so ``holds`` finds it again
-        without ``to_core``."""
-        core = to_core(f)
-        cached = self._bytes.get(core)
-        if cached is None:
-            n_bytes = ((1 << self.k) + 7) >> 3
-            cached = self.mask(core).to_bytes(n_bytes, "little")
-            self._bytes[core] = cached
-        self._bytes[f] = cached
-        return cached
-
-    def holds(self, f: Formula, assignment: int) -> bool:
-        view = self._bytes.get(f) or self.bits(f)
-        return bool(view[assignment >> 3] >> (assignment & 7) & 1)
-
-    def sig(self, assignment: int) -> int:
-        return assignment & self.box_mask
+        """Byte view of a formula's truth mask, for O(1) per-type tests."""
+        return self.mask(f).to_bytes(((1 << self.k) + 7) >> 3, "little")
 
 
 def _same_signatures(space: TypeSpace, mask: int, down: Iterable[int]) -> int:
@@ -354,9 +338,9 @@ def _same_signatures(space: TypeSpace, mask: int, down: Iterable[int]) -> int:
     return mask
 
 
-def _eliminate(space: TypeSpace, b: int) -> list[int]:
+def _eliminate(space: TypeSpace, b: int) -> int:
     """Greatest set of coherent types with box signature inside b whose
-    missing boxes in b all have witnesses.
+    missing boxes in b all have witnesses, as a mask over the types.
 
     A type i lacking box-letter j of b needs a surviving type that refutes
     j's core and whose box signature contains i's. Box letters outside b
@@ -381,17 +365,17 @@ def _eliminate(space: TypeSpace, b: int) -> list[int]:
         for j, core in cores.items():
             kept &= space.columns[j] | _same_signatures(space, alive & ~core, range(space.k))
         if kept == alive:
-            return select(itertools.count(), alive)
+            return alive
         alive = kept
 
 
 def base_models(
     space: TypeSpace, confluent: bool
-) -> Iterator[tuple[list[int], list[int]]]:
+) -> Iterator[tuple[int, list[int]]]:
     """The base-logic canonical models over a type space, as (survivors, top).
 
     This is the one elimination core behind ``sat`` and the Smorynski
-    construction. Survivors are sorted type assignments. For S4
+    construction. Survivors are a type mask, top a sorted type list. For S4
     (``confluent`` false) there is one model and no fixed top. Every finite
     confluent model has a single final cluster seen from everywhere, so for
     S4.2 there is one model for each viable top box signature b, in
@@ -411,7 +395,7 @@ def base_models(
         viable &= space.columns[j] | _same_signatures(space, refuters, space.atom_positions)
     by_sig: dict[int, list[int]] = {}
     for i in select(itertools.count(), viable):
-        by_sig.setdefault(space.sig(i), []).append(i)
+        by_sig.setdefault(i & space.box_mask, []).append(i)
     for b, top in sorted(by_sig.items()):
         yield _eliminate(space, b), top
 
@@ -440,14 +424,15 @@ def types_to_model(
 def _base_witness(
     space: TypeSpace, goal: Formula, confluent: bool
 ) -> Optional[tuple[PreorderModel, str]]:
-    """The generated base-logic model at the first surviving type that
-    satisfies goal, or None when the goal is base-logic unsatisfiable."""
+    """The generated base-logic model at the first surviving type satisfying
+    goal, worlds named as in the whole model; None if base-logic unsatisfiable."""
     for survivors, top in base_models(space, confluent):
-        for i in survivors:
-            if space.holds(goal, i):
-                names = {t: f"t{idx:06d}" for idx, t in enumerate(survivors)}
-                model = types_to_model(space.letters, names, top)
-                return generated_submodel(model, names[i]), names[i]
+        if hits := survivors & space.mask(goal):
+            hit = (hits & -hits).bit_length() - 1
+            sig = hit & space.box_mask
+            ranked = enumerate(select(itertools.count(), survivors))
+            names = {t: f"t{idx:06d}" for idx, t in ranked if t & sig == sig}
+            return types_to_model(space.letters, names, top), names[hit]
     return None
 
 

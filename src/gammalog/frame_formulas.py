@@ -140,22 +140,6 @@ def substitute_map(f: Formula, mapping: dict[str, Formula]) -> Formula:
 # Relative satisfaction
 # ---------------------------------------------------------------------------
 
-def _substituted_extension(
-    model: kripke.PreorderModel,
-    chi: Formula,
-    arg_extensions: Sequence[frozenset[str]],
-) -> frozenset[str]:
-    """[[chi[args]]] computed by revaluing p_i to [[args_i]].
-
-    Substitution commutes with model checking, so this agrees with checking
-    the substituted formula directly (a property the test suite verifies).
-    """
-    revalued = model.replace(
-        valuation={f"p{i}": ext for i, ext in enumerate(arg_extensions)},
-    )
-    return kripke.model_check(revalued, chi)
-
-
 def relative_satisfaction_witness(
     model: kripke.PreorderModel,
     cluster: frozenset[str],
@@ -165,24 +149,30 @@ def relative_satisfaction_witness(
 ) -> Optional[tuple[Formula, ...]]:
     """First argument tuple (canonical order) whose substitution instance
     fails somewhere on the cluster; None when the cluster satisfies chi
-    relative to sigma."""
+    relative to sigma.
+
+    Truth is compositional, so [[chi[args]]] is [[chi]] with each p_i
+    revalued to [[args_i]] (other atoms, and cluster worlds outside the
+    model, lie in no extension). Each distinct tuple of extensions is one
+    valuation of ``kripke.eval_valuations``, in product order, reported as
+    the first argument tuple that has it.
+    """
     arity = substitution_arity(chi)
     pool = sorted_formulas(set(sigma))
     if pool and len(pool) ** arity > max_tuples:
         raise ResourceCapExceeded(
             f"relative satisfaction needs {len(pool)}^{arity} tuples (cap {max_tuples})"
         )
-    cluster = frozenset(cluster)
-    extensions = {f: kripke.model_check(model, f) for f in pool}
-    seen: dict[tuple, bool] = {}
-    for args in itertools.product(pool, repeat=arity):
-        ext_key = tuple(extensions[a] for a in args)
-        ok = seen.get(ext_key)
-        if ok is None:
-            ok = cluster <= _substituted_extension(model, chi, ext_key)
-            seen[ext_key] = ok
-        if not ok:
-            return args
+    index = {w: i for i, w in enumerate(model.worlds)}
+    need = sum(1 << index.get(w, len(index)) for w in set(cluster))
+    first: dict[int, Formula] = {}
+    for f in pool:
+        first.setdefault(sum(1 << index[w] for w in kripke.model_check(model, f)), f)
+    tuples, ahead = itertools.tee(itertools.product(first, repeat=arity))
+    valuations = ({f"p{i}": ext for i, ext in enumerate(exts)} for exts in ahead)
+    for exts, holds in zip(tuples, kripke.eval_valuations(model, chi, valuations)):
+        if need & ~holds:
+            return tuple(first[ext] for ext in exts)
     return None
 
 

@@ -9,11 +9,13 @@ a formula on any number of disjoint copies of one frame at once, each copy
 with its own valuation. A ``PreorderModel``'s order is its successor masks,
 which construction closes or validates and every query reads (``order`` is
 their view as pairs), and ``model_check`` reads the one-copy result back as
-a set of world ids through ``select``, the one mask decoder; the bounded
-model search and the interpolant fingerprints put every valuation of a
-small frame in a copy of its own. ``eval_propositional`` runs the same
-core with no frame, on points whose atoms and boxed formulas are given as
-letters: the type spaces of ``engine`` evaluate their closures this way.
+a set of world ids through ``select``, the one mask decoder. The bounded
+model search, the interpolant fingerprints and, through
+``eval_valuations``, relative satisfaction and criterion 1 put each
+valuation of a frame in a copy of its own. ``eval_propositional`` runs the
+core with no frame, on letters for atoms and boxed formulas: the type
+spaces of ``engine`` evaluate their closures so and read their witnesses
+off the survivor mask.
 Unknown atoms evaluate to the empty set (logged once per model) because
 the closure machinery routinely checks formulas over partially valued
 models.
@@ -27,7 +29,7 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .syntax import (
     And, Atom, Bottom, Box, Diamond, Formula, Iff, Implies, Not, Or, Top,
@@ -196,18 +198,43 @@ def eval_on_frame(
     # one copy needs no spread masks; more copies build theirs once per frame
     if copies == 1:
         layout = succ, (1 << len(succ)) - 1, 1 << len(succ)
-    else:
+    elif copies * len(succ) ** 2 <= _CACHED_LAYOUT_BITS:
         layout = _layout(tuple(succ), copies)
+    else:
+        layout = _layout.__wrapped__(succ, copies)
     return _eval(layout, env, f, cache)
 
 
+# Layouts of up to this many bits (k^2 per copy of k worlds) are cached; every
+# frame walk slice fits. ``eval_valuations`` packs at most _CHUNK_BITS bits of
+# copies at once, a bound in bits, not copies, as its models reach hundreds of worlds.
+_CACHED_LAYOUT_BITS, _CHUNK_BITS = 1 << 20, 1 << 16
+
+
 @lru_cache(maxsize=256)
-def _layout(succ: tuple[int, ...], copies: int) -> tuple[tuple[int, ...], int, int]:
+def _layout(succ: Sequence[int], copies: int) -> tuple[tuple[int, ...], int, int]:
     """(successor masks spread over every copy, full world mask, guard bits)
     of ``copies`` packed copies of a frame, for ``_eval``."""
     k = len(succ)
     ones = tile(1, copies, k + 1)
     return tuple(mask * ones for mask in succ), ones * ((1 << k) - 1), ones << k
+
+
+def eval_valuations(
+    model: PreorderModel, f: Formula, valuations: Iterable[Mapping[str, int]]
+) -> Iterator[int]:
+    """[[f]] as a world mask (bit i for ``model.worlds[i]``) under each
+    valuation in turn, atom -> world mask, an atom it lacks holding nowhere.
+    Each valuation gets a copy of the model's frame; chunks of copies are
+    evaluated one at a time, as the results are consumed."""
+    stride = len(model.worlds) + 1
+    pending = iter(valuations)
+    while chunk := list(itertools.islice(pending, max(1, _CHUNK_BITS // stride))):
+        # one binary numeral per atom, copy 0 last, each copy padded by 1 << stride
+        env = {name: int("".join([bin(1 << stride | v.get(name, 0))[3:] for v in chunk[::-1]]), 2)
+               for name in set().union(*chunk)}
+        packed = eval_on_frame(model._masks, env, f, None, len(chunk))
+        yield from (packed >> c * stride & (1 << stride - 1) - 1 for c in range(len(chunk)))
 
 
 def eval_propositional(f: Formula, full: int, letters: dict) -> int:

@@ -14,12 +14,13 @@ underlying frame is confluent.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from . import engine as _engine
 from .engine import Budget, LogicId, Satisfiable, Unsatisfiable
-from .kripke import PreorderModel, model_check, model_to_dict
+from .kripke import PreorderModel, model_check, model_to_dict, select
 from .syntax import (
     Formula, Not, SignedClosure, conj, iter_negation_pairs, modality_key, pretty,
     sorted_formulas,
@@ -210,12 +211,12 @@ def _maximal_sets_from_types(
     """
     sigma = sorted_formulas(closure.sigma)
     space = _engine.TypeSpace(sigma, budget)
-    survivors = set()
+    survivors = 0
     for alive, _ in _engine.base_models(space, logic.confluent):
-        survivors.update(alive)
+        survivors |= alive
     table = [(f, pretty(f), space.bits(f)) for f in sigma]
     out = []
-    for i in sorted(survivors):
+    for i in select(itertools.count(), survivors):
         held = [(f, name) for f, name, view in table if view[i >> 3] >> (i & 7) & 1]
         members = frozenset(f for f, _ in held)
         ms = MaximalSet(members & closure.sigma1, members & closure.sigma2)

@@ -22,8 +22,8 @@ from .frame_formulas import (
     relative_satisfaction_witness, substitute,
 )
 from .kripke import (
-    PreorderModel, eval_on_frame, find_p_morphism, is_confluent, model_check,
-    model_from_masks,
+    PreorderModel, eval_on_frame, eval_valuations, find_p_morphism, is_confluent,
+    model_check, model_from_masks,
 )
 from .syntax import (
     And, Atom, Bottom, Box, Diamond, Formula, Implies, Not, Or, FALSE, TRUE,
@@ -118,21 +118,18 @@ def suite_lemma23(scale: float = 1.0) -> tuple[bool, str]:
         for frame_index, frame in enumerate(targets):
             beta = betas[frame]
             cases = []
-            # one copy of the frame per distinct tuple of argument extensions
-            copy_of: dict[tuple, int] = {}
             for combo in itertools.product(range(len(pool)), repeat=frame.size):
                 arg_exts = tuple(exts[c] for c in combo)
                 if arg_exts[0]:
                     cases.append((combo, arg_exts))
-                    copy_of.setdefault(arg_exts, len(copy_of))
-            beta_env = {
-                f"p{i}": sum(arg_exts[i] << copy * (k + 1) for arg_exts, copy in copy_of.items())
-                for i in range(frame.size)
-            }
-            sat_all = eval_on_frame(succ, beta_env, beta, None, len(copy_of))
+            # one valuation per distinct tuple of argument extensions
+            distinct = list(dict.fromkeys(arg_exts for _, arg_exts in cases))
+            slots = [f"p{i}" for i in range(frame.size)]
+            revalued = (dict(zip(slots, arg_exts)) for arg_exts in distinct)
+            sat_of = dict(zip(distinct, eval_valuations(model, beta, revalued)))
             for combo, arg_exts in cases:
                 args = [pool[c] for c in combo]
-                refuted_bits = full ^ (sat_all >> copy_of[arg_exts] * (k + 1) & full)
+                refuted_bits = full ^ sat_of[arg_exts]
                 for x in range(k):
                     if not arg_exts[0] >> x & 1:
                         continue

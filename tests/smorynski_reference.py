@@ -6,11 +6,15 @@ oracle at every step, instead of reading the sets off the surviving types
 of one elimination as ``build_smorynski_model`` does.
 
 ``maximal_sets_by_scan`` reads the sets off the same surviving types as
-``smorynski._maximal_sets_from_types``, but asks ``TypeSpace.holds`` for
-each (side member, type) and names each set with ``MaximalSet.label``.
+``smorynski._maximal_sets_from_types``, but decodes each base model's
+survivor mask on its own, reads each (side member, type) off the member's
+truth mask and names each set with ``MaximalSet.label``.
 """
 
+import itertools
+
 from gammalog import engine
+from gammalog.kripke import select
 from gammalog.smorynski import MaximalSet, _class_polarity, _consistent
 from gammalog.syntax import iter_negation_pairs, sorted_formulas
 
@@ -44,11 +48,12 @@ def maximal_sets_by_scan(closure, logic, budget):
     space = engine.TypeSpace(sorted_formulas(closure.sigma), budget)
     survivors = set()
     for alive, _ in engine.base_models(space, logic.confluent):
-        survivors.update(alive)
+        survivors.update(select(itertools.count(), alive))
+    masks = {f: space.mask(f) for f in closure.sigma}
     out = []
     for i in sorted(survivors):
-        t1 = frozenset(f for f in closure.sigma1 if space.holds(f, i))
-        t2 = frozenset(f for f in closure.sigma2 if space.holds(f, i))
+        t1 = frozenset(f for f in closure.sigma1 if masks[f] >> i & 1)
+        t2 = frozenset(f for f in closure.sigma2 if masks[f] >> i & 1)
         ms = MaximalSet(t1, t2)
         out.append((ms.label(), i, ms))
     out.sort()

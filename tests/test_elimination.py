@@ -3,7 +3,8 @@
 ``_eliminate_reference`` is the per-type superset scan that ``engine``
 used before its down-closure rounds: for each type and each missing box
 letter it looks for a witness signature directly. ``base_models`` must give
-exactly the same (survivors, top) pairs, in the same order.
+exactly the same (survivors, top) pairs, in the same order, once its
+survivor masks are decoded.
 """
 
 import itertools
@@ -22,20 +23,24 @@ from gammalog.syntax import (
 )
 
 
+def _sig(space: TypeSpace, i: int) -> int:
+    return i & space.box_mask
+
+
 def _eliminate_reference(space: TypeSpace, b: int) -> list[int]:
-    alive = [i for i in space.coherent if space.sig(i) | b == b]
+    alive = [i for i in space.coherent if _sig(space, i) | b == b]
     positions = [j for j in space.box_positions if b >> j & 1]
     obligations = {i: [j for j in positions if not i >> j & 1] for i in alive}
     core_bits = {j: space.bits(space.letters[j].sub) for j in positions}
     while True:
         witness_sigs = {
-            j: {space.sig(i) for i in alive if not view[i >> 3] >> (i & 7) & 1}
+            j: {_sig(space, i) for i in alive if not view[i >> 3] >> (i & 7) & 1}
             for j, view in core_bits.items()
         }
         answered: dict[tuple[int, int], bool] = {}
         kept = []
         for i in alive:
-            sig_i = space.sig(i)
+            sig_i = _sig(space, i)
             for j in obligations[i]:
                 key = (sig_i, j)
                 if key not in answered:
@@ -53,19 +58,27 @@ def _base_models_reference(space: TypeSpace, confluent: bool):
     if not confluent:
         return [(_eliminate_reference(space, space.box_mask), [])]
     out = []
-    for b in sorted({space.sig(i) for i in space.coherent}):
-        top = [i for i in space.coherent if space.sig(i) == b]
+    core_bits = {j: space.bits(space.letters[j].sub) for j in space.box_positions}
+    for b in sorted({_sig(space, i) for i in space.coherent}):
+        top = [i for i in space.coherent if _sig(space, i) == b]
         if all(
-            any(not space.holds(space.letters[j].sub, i) for i in top)
+            any(not core_bits[j][i >> 3] >> (i & 7) & 1 for i in top)
             for j in space.box_positions if not b >> j & 1
         ):
             out.append((_eliminate_reference(space, b), top))
     return out
 
 
+def _decoded_base_models(space: TypeSpace, confluent: bool):
+    return [
+        (select(itertools.count(), survivors), top)
+        for survivors, top in base_models(space, confluent)
+    ]
+
+
 def _assert_matches_reference(space: TypeSpace) -> None:
     for confluent in (False, True):
-        assert list(base_models(space, confluent)) == _base_models_reference(
+        assert _decoded_base_models(space, confluent) == _base_models_reference(
             space, confluent
         ), confluent
 
@@ -144,7 +157,7 @@ def test_k20_closure_matches_the_reference_scan():
     closure = SignedClosure.from_seeds([parse("p & q")], [parse("p")])
     space = TypeSpace(sorted_formulas(closure.sigma), Budget())
     assert space.k == 20
-    assert list(base_models(space, False)) == _base_models_reference(space, False)
+    assert _decoded_base_models(space, False) == _base_models_reference(space, False)
 
 
 def test_column_matches_its_definition():
@@ -168,3 +181,15 @@ def test_bits_matches_a_naive_scan():
         assert select(itertools.count(), mask) == positions, mask
         items = [f"w{i}" for i in range(mask.bit_length() + 3)]
         assert select(items, mask) == [items[i] for i in positions], mask
+
+
+def test_type_cap_counts_the_coherent_mask():
+    # the cap reads the mask's bit count; the coherent list is decoded on demand
+    seeds = [parse("p & <>q")]
+    space = TypeSpace(seeds, Budget())
+    assert space.coherent == select(itertools.count(), space.coherent_mask)
+    n = len(space.coherent)
+    assert TypeSpace(seeds, Budget(max_types=n)).coherent_mask == space.coherent_mask
+    with pytest.raises(BudgetExceeded) as info:
+        TypeSpace(seeds, Budget(max_types=n - 1))
+    assert str(info.value) == f"type space has {n} coherent types (cap {n - 1})"

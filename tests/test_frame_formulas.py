@@ -1,19 +1,24 @@
 import itertools
+import pathlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gammalog import kripke
 from gammalog.frame_formulas import (
     OMEGA, ResourceCapExceeded, RootedFrame, cluster_frame, frame_formula,
     gamma, pattern_instance, relative_satisfaction_witness, satisfies_relative,
     substitute, substitution_arity,
 )
 from gammalog.kripke import (
-    PreorderModel, eval_on_frame, find_p_morphism, model_check, model_from_masks,
+    PreorderModel, clusters, eval_on_frame, find_p_morphism, load_model, model_check,
+    model_from_masks,
 )
 from gammalog.syntax import (
     FALSE, TRUE, And, Atom, Box, Diamond, FormulaError, Not, Top, atoms, parse, pretty,
 )
+from frame_formulas_reference import relative_satisfaction_witness_reference
 from kripke_reference import model_check_reference
 
 p0, p1 = Atom("p0"), Atom("p1")
@@ -180,6 +185,87 @@ def test_relative_satisfaction_cap():
     sigma = [parse("p"), parse("~p"), parse("q"), parse("~q")]
     with pytest.raises(ResourceCapExceeded):
         satisfies_relative(m, frozenset({"a", "b"}), gamma(2, True), sigma, max_tuples=10)
+
+
+_SIGMA_POOL = [
+    parse(text) for text in ("p", "~p", "q", "~q", "[]p", "<>q", "p & q", "[]~q", "true", "false")
+]
+_CHIS = [
+    gamma(1, False), gamma(1, True), gamma(2, False), parse("[](p0 -> <>p1) | q"), parse("<>q | p"),
+]
+
+
+@st.composite
+def _relative_cases(draw):
+    size = draw(st.integers(min_value=1, max_value=6))
+    worlds = [f"w{i}" for i in range(size)]
+    edges = draw(st.sets(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds)), max_size=12))
+    val = {atom: draw(st.sets(st.sampled_from(worlds))) for atom in ("p", "q")}
+    model = PreorderModel(worlds, edges, val, closure="auto")
+    cluster = draw(st.one_of(
+        st.sampled_from(clusters(model).clusters), st.frozensets(st.sampled_from(worlds), min_size=1),
+    ))
+    # a world the model lacks lies in no extension
+    if draw(st.integers(0, 3)) == 3:
+        cluster |= {"stray"}
+    sigma = draw(st.lists(st.sampled_from(_SIGMA_POOL), min_size=2, max_size=8, unique=True))
+    chi = draw(st.sampled_from(_CHIS))
+    cap = draw(st.sampled_from([1 << 20, 40]))
+    return model, cluster, chi, sigma, cap
+
+
+def _outcome(check, model, cluster, chi, sigma, cap):
+    try:
+        return check(model, cluster, chi, sigma, cap)
+    except ResourceCapExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relative_cases(), st.sampled_from([1, 16, 40]))
+def test_packed_relative_satisfaction_matches_the_per_tuple_scan(case, chunk_bits):
+    # a small chunk bound spreads the tuples over several packed evaluations
+    with mock.patch.object(kripke, "_CHUNK_BITS", chunk_bits):
+        packed = _outcome(relative_satisfaction_witness, *case)
+    assert packed == _outcome(relative_satisfaction_witness_reference, *case)
+
+
+def test_relative_satisfaction_with_a_world_outside_the_model():
+    m = PreorderModel(["a", "b"], total("ab"), {"p": ["a"]})
+    sigma = [parse("p"), parse("~p")]
+    for chi in (gamma(1, False), TRUE, parse("p0 | ~p0")):
+        for cluster in ({"a", "zz"}, {"zz"}):
+            witness = relative_satisfaction_witness(m, frozenset(cluster), chi, sigma)
+            assert witness is not None
+            assert witness == relative_satisfaction_witness_reference(m, cluster, chi, sigma)
+    assert relative_satisfaction_witness(m, frozenset({"zz"}), TRUE, []) == ()
+    assert relative_satisfaction_witness(m, frozenset({"zz"}), gamma(1, False), []) is None
+
+
+def test_relative_satisfaction_builds_no_model(monkeypatch):
+    m = PreorderModel(["a", "b", "c"], total("ab") + [("c", "c"), ("a", "c"), ("b", "c")],
+                      {"p": ["a"], "q": ["b", "c"]})
+    sigma = [parse("p"), parse("~p"), parse("q"), parse("<>q")]
+    built = []
+    init = PreorderModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PreorderModel, "__init__", counting_init)
+    for chi in (gamma(1, False), gamma(1, True), gamma(2, False)):
+        relative_satisfaction_witness(m, frozenset({"a", "b"}), chi, sigma)
+    assert built == []
+
+
+def test_relative_satisfaction_witness_on_the_committed_canonical_model():
+    inputs = pathlib.Path(__file__).parents[1] / "perfbench" / "inputs"
+    model = load_model(str(inputs / "s4_p_q.json"))
+    sigma = [parse(line) for line in (inputs / "s4_p_q.sigma").read_text().splitlines() if line]
+    cluster = next(c for c in clusters(model).clusters if len(c) == 4)
+    witness = relative_satisfaction_witness(model, cluster, gamma(1, False), sigma)
+    assert witness == (parse("p"), parse("~p"))
 
 
 # --- pattern instances ------------------------------------------------------------

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gammalog
+from gammalog import kripke
 from gammalog.frame_formulas import cluster_frame
 from gammalog.kripke import (
     ModelError, PMorphism, PreorderModel, clusters, cluster_sizes, dump_model,
-    find_p_morphism, frame_shape, generated_submodel, is_confluent, load_model,
-    model_check, model_from_dict,
+    eval_valuations, find_p_morphism, frame_shape, generated_submodel, is_confluent,
+    load_model, model_check, model_from_dict,
 )
 from gammalog.syntax import Atom, Box, parse
-from kripke_reference import clusters_reference, reflexive_transitive_closure
+from kripke_reference import (
+    clusters_reference, model_check_reference, reflexive_transitive_closure,
+)
 
 
 def total(worlds):
@@ -429,3 +432,54 @@ def test_json_strict_rejects_non_preorder():
 def test_json_malformed():
     with pytest.raises(ModelError):
         model_from_dict({"order": []})
+
+
+# --- many valuations of one frame ----------------------------------------------
+
+def test_eval_valuations_matches_the_reference_semantics_across_chunks(monkeypatch):
+    # seven-bit chunks hold one copy of this six-world frame at a time, and
+    # 40 bits five copies, so the valuations span several chunks either way
+    worlds = ["a", "b", "c", "d", "e", "f"]
+    order = total("ab") + [("b", "c"), ("c", "d"), ("a", "e"), ("e", "f"), ("f", "e")]
+    model = PreorderModel(worlds, order, {"p": ["a"], "q": ["c", "d"]}, closure="auto")
+    f = parse("[](p0 -> <>p1) & (q | ~[]p1)")
+    masks = range(0, 64, 5)
+    valuations = [{"p0": a, "p1": b} for a, b in itertools.product(masks, repeat=2)]
+    valuations += [{"p0": 0b101}, {"p1": 0b11}, {}, {"p0": 63, "r": 1}]
+    expected = []
+    for valuation in valuations:
+        revalued = model.replace(valuation={
+            atom: [w for i, w in enumerate(worlds) if mask >> i & 1]
+            for atom, mask in valuation.items()
+        })
+        sat = model_check_reference(revalued, f)
+        expected.append(sum(1 << i for i, w in enumerate(worlds) if w in sat))
+    for chunk_bits in (7, 40, 1 << 16):
+        monkeypatch.setattr(kripke, "_CHUNK_BITS", chunk_bits)
+        assert list(eval_valuations(model, f, valuations)) == expected, chunk_bits
+
+
+def test_eval_valuations_reads_one_chunk_at_a_time(monkeypatch):
+    model = PreorderModel(["a", "b"], total("ab"), {})
+    monkeypatch.setattr(kripke, "_CHUNK_BITS", 9)  # three copies of a two-world frame
+    taken = []
+
+    def valuations():
+        for mask in itertools.cycle(range(4)):
+            taken.append(mask)
+            yield {"p": mask}
+
+    results = eval_valuations(model, parse("<>p"), valuations())
+    assert [next(results) for _ in range(4)] == [0, 3, 3, 3]
+    assert len(taken) == 6
+
+
+def test_only_small_layouts_are_cached():
+    kripke._layout.cache_clear()
+    cluster = ((1 << 200) - 1,) * 200
+    kripke.eval_on_frame(cluster, {}, parse("[]p"), None, 400)
+    assert kripke._layout.cache_info().currsize == 0
+    # the largest layout a frame walk slice makes: 2^12 copies of 12 worlds
+    chain = tuple((1 << 12) - (1 << i) for i in range(12))
+    kripke.eval_on_frame(chain, {}, parse("[]p"), None, 1 << 12)
+    assert kripke._layout.cache_info().currsize == 1
