@@ -407,18 +407,32 @@ def types_to_model(
     letters, ``names`` giving each type's world id. A type sees every type
     whose box signature contains its own. ``top`` lists types (repeating
     survivors) of a final cluster that every world sees, the confluent
-    construction's, on worlds u000000, u000001, ..."""
+    construction's, on worlds u000000, u000001, ...
+
+    The order is built as successor masks: the worlds of each box signature
+    as one mask, then one row per signature, the union of the masks of the
+    signatures that contain it, shared by its worlds."""
     box_mask = sum(1 << j for j, f in enumerate(letters) if isinstance(f, Box))
-    sig = {w: i & box_mask for i, w in names.items()}
     top_names = [f"u{idx:06d}" for idx in range(len(top))]
-    order = {(a, b) for a in sig for b in sig if sig[a] & ~sig[b] == 0}
-    order.update(itertools.product(list(sig) + top_names, top_names))
+    worlds = sorted([*names.values(), *top_names])
+    index = {w: i for i, w in enumerate(worlds)}
+    top_bits = sum(1 << index[w] for w in top_names)
+    members: dict[int, int] = {}
+    for i, w in names.items():
+        members[i & box_mask] = members.get(i & box_mask, 0) | 1 << index[w]
+    rows = {
+        sig: top_bits | sum(bits for above, bits in members.items() if sig & ~above == 0)
+        for sig in members
+    }
+    masks = [top_bits] * len(worlds)
+    for i, w in names.items():
+        masks[index[w]] = rows[i & box_mask]
     typed = list(names.items()) + list(zip(top, top_names))
     valuation = {
         letter.name: [w for i, w in typed if i >> j & 1]
         for j, letter in enumerate(letters) if isinstance(letter, Atom)
     }
-    return PreorderModel(list(sig) + top_names, order, valuation)
+    return PreorderModel.from_masks(worlds, masks, valuation)
 
 
 def _base_witness(
@@ -451,77 +465,100 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
         yield [[first]] + partition
 
 
-@lru_cache(maxsize=None)
-def _labeled_posets(b: int) -> tuple[frozenset[tuple[int, int]], ...]:
-    """All strict partial orders on range(b), as transitive irreflexive sets:
-    each order on range(b-1) extended by point b-1 in every consistent way."""
+@lru_cache(maxsize=8)
+def _labeled_posets(b: int) -> tuple[tuple[int, ...], ...]:
+    """All strict partial orders on range(b), each as the up-sets of its
+    points (bit j of entry i says i < j): each order on range(b-1) extended
+    by point b-1 in every consistent way. The new point goes above a
+    down-closed set D and below an up-closed set U that lies above all of D;
+    D and then U run through the subsets by size, then in combinations
+    order."""
     if b == 0:
-        return (frozenset(),)
+        return ((),)
     new = b - 1
-    existing = list(range(new))
+    points = range(new)
+    subsets = [
+        sum(1 << i for i in combo) for r in range(b) for combo in itertools.combinations(points, r)
+    ]
     out = []
-    for rel in _labeled_posets(new):
-        for down in _subsets(existing):
-            dset = set(down)
-            if any((d2, d) in rel and d2 not in dset for d in dset for d2 in existing):
+    for ups in _labeled_posets(new):
+        # indexed by a set s of points: the points above some point of s,
+        # those below some point of s, and those above every point of s
+        up_reach, down_reach, above = [0], [0], [(1 << new) - 1]
+        for i in points:
+            down = sum(1 << d for d in points if ups[d] >> i & 1)
+            up_reach += [r | ups[i] for r in up_reach]
+            down_reach += [r | down for r in down_reach]
+            above += [r & ups[i] for r in above]
+        up_closed = [s for s in subsets if not up_reach[s] & ~s]
+        for down in subsets:
+            if down_reach[down] & ~down:
                 continue
-            ups = [u for u in existing if u not in dset]
-            for up in _subsets(ups):
-                uset = set(up)
-                if any((u, u2) in rel and u2 not in uset for u in uset for u2 in ups):
-                    continue
-                if any((d, u) not in rel for d in dset for u in uset):
-                    continue
-                out.append(rel | {(d, new) for d in dset} | {(new, u) for u in uset})
+            extended = tuple(up | (down >> i & 1) << new for i, up in enumerate(ups))
+            out.extend(extended + (up,) for up in up_closed if not up & ~above[down])
     return tuple(out)
 
 
-def _subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
+def _preorders(k: int) -> Iterator[tuple[int, ...]]:
+    """Every preorder on range(k) as successor masks, once each: a partition
+    into clusters times a strict partial order on the clusters."""
+    for partition in _set_partitions(tuple(range(k))):
+        owner = [0] * k
+        for i, block in enumerate(partition):
+            for x in block:
+                owner[x] = i
+        # unions[s]: the worlds of the blocks in the set s of blocks
+        unions = [0]
+        for block in partition:
+            mask = sum(1 << x for x in block)
+            unions += [union | mask for union in unions]
+        for ups in _labeled_posets(len(partition)):
+            rows = [unions[1 << i | up] for i, up in enumerate(ups)]
+            yield tuple(map(rows.__getitem__, owner))
 
 
 def labeled_preorders(k: int) -> Iterator[frozenset[tuple[int, int]]]:
-    """Every preorder on range(k), once each: a partition into clusters
-    times a strict partial order on the clusters."""
-    for partition in _set_partitions(tuple(range(k))):
-        # the pairs from block i to block j
-        cross = {
-            (i, j): [(x, y) for x in bi for y in bj]
-            for i, bi in enumerate(partition) for j, bj in enumerate(partition)
-        }
-        within = [pair for i in range(len(partition)) for pair in cross[i, i]]
-        for poset in _labeled_posets(len(partition)):
-            yield frozenset(itertools.chain(within, *map(cross.__getitem__, poset)))
+    """Every preorder on range(k), once each, as a set of pairs."""
+    for succ in _preorders(k):
+        yield frozenset((a, b) for a, row in enumerate(succ) for b in select(range(k), row))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def canonical_frames(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
     """Preorders on range(k), one representative per isomorphism class,
     in canonical adjacency-encoding order.
 
-    Each class is built once, from its first labelled preorder: all its
-    permutation images are marked seen, and the least image as a sorted
-    pair list is the representative. Pair (a, b) is bit K-1-(a*k+b) of an
-    image's code (K = k*k), so the least sorted pair list has the greatest
-    code.
+    Pair (a, b) is bit K-1-(a*k+b) of a relation's code (K = k*k): row a
+    of the successor masks is a k-bit field, row 0 most significant, point
+    b at bit k-1-b of it. Each class is built once, from its first labelled
+    preorder: the codes of all its permutation images are marked seen, and
+    the greatest is the representative, the image whose sorted pair list is
+    least.
     """
-    bit = {(a, b): 1 << (k * k - 1 - a * k - b) for a in range(k) for b in range(k)}
-    # the bit of each pair's image under each permutation
-    permuted = [{(a, b): bit[p[a], p[b]] for a, b in bit} for p in itertools.permutations(range(k))]
+    # tables[p][a][row]: the code bits of row a of a preorder in its image
+    # under permutation p, the fields of row p[a]
+    tables = []
+    for p in itertools.permutations(range(k)):  # the identity comes first
+        field = [0]
+        for b in range(k):
+            field += [bits | 1 << k - 1 - p[b] for bits in field]
+        tables.append([[bits << k * (k - 1 - p[a]) for bits in field] for a in range(k)])
+    pick = list.__getitem__
     seen: set[int] = set()
     out = []
-    for rel in labeled_preorders(k):
-        if sum(map(bit.__getitem__, rel)) not in seen:
-            images = [sum(map(image.__getitem__, rel)) for image in permuted]
+    for succ in _preorders(k):
+        if sum(map(pick, tables[0], succ)) not in seen:
+            images = [sum(map(pick, table, succ)) for table in tables]
             seen.update(images)
             least = max(images)
-            out.append(frozenset(pair for pair, code in bit.items() if least & code))
-    out.sort(key=lambda rel: sorted(rel))
+            out.append(frozenset(
+                (a, b) for a in range(k) for b in range(k) if least >> k * k - 1 - a * k - b & 1
+            ))
+    out.sort(key=sorted)
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _class_frames(k: int, lam: str, m: Bound, n: Bound) -> tuple[tuple[int, ...], ...]:
     """Successor-mask vectors of the canonical k-world frames in the class."""
     logic = LogicId(lam, m, n)

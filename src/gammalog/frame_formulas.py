@@ -152,10 +152,11 @@ def relative_satisfaction_witness(
     relative to sigma.
 
     Truth is compositional, so [[chi[args]]] is [[chi]] with each p_i
-    revalued to [[args_i]] (other atoms, and cluster worlds outside the
-    model, lie in no extension). Each distinct tuple of extensions is one
-    valuation of ``kripke.eval_valuations``, in product order, reported as
-    the first argument tuple that has it.
+    revalued to [[args_i]]; every other atom of chi keeps its extension in
+    the model, and cluster worlds outside the model lie in no extension.
+    Each distinct tuple of extensions is one valuation of
+    ``kripke.eval_valuations``, in product order, reported as the first
+    argument tuple that has it.
     """
     arity = substitution_arity(chi)
     pool = sorted_formulas(set(sigma))
@@ -168,8 +169,13 @@ def relative_satisfaction_witness(
     first: dict[int, Formula] = {}
     for f in pool:
         first.setdefault(sum(1 << index[w] for w in kripke.model_check(model, f)), f)
+    slots = [f"p{i}" for i in range(arity)]
+    kept = {
+        name: sum(1 << index[w] for w in model.valuation.get(name, ()))
+        for name in atoms(chi) - set(slots)
+    }
     tuples, ahead = itertools.tee(itertools.product(first, repeat=arity))
-    valuations = ({f"p{i}": ext for i, ext in enumerate(exts)} for exts in ahead)
+    valuations = ({**kept, **dict(zip(slots, exts))} for exts in ahead)
     for exts, holds in zip(tuples, kripke.eval_valuations(model, chi, valuations)):
         if need & ~holds:
             return tuple(first[ext] for ext in exts)

@@ -7,9 +7,13 @@ There is one evaluator core, on bitmasks. ``eval_on_frame`` runs it on
 successor bitmasks (bit i is the i-th world in sorted order) and evaluates
 a formula on any number of disjoint copies of one frame at once, each copy
 with its own valuation. A ``PreorderModel``'s order is its successor masks,
-which construction closes or validates and every query reads (``order`` is
-their view as pairs), and ``model_check`` reads the one-copy result back as
-a set of world ids through ``select``, the one mask decoder. The bounded
+which every query reads. They are built on one path,
+``PreorderModel.from_masks``, which closes or validates them; the pair
+constructor and ``model_from_masks`` end in it, and ``without_edges``
+edits a built model's masks and re-checks only the rows it changed.
+``order``, their view as pairs, is built only when asked for.
+``model_check`` reads the one-copy result back as a set of world ids
+through ``select``, the one mask decoder. The bounded
 model search, the interpolant fingerprints and, through
 ``eval_valuations``, relative satisfaction and criterion 1 put each
 valuation of a frame in a copy of its own. ``eval_propositional`` runs the
@@ -46,12 +50,16 @@ class PreorderModel:
     """A finite set of worlds with a reflexive-transitive order and valuation.
 
     The order is held as successor bitmasks, bit i for the i-th world in
-    sorted order, which every query reads; ``order`` is its view as a set of
-    pairs. ``closure="strict"`` validates that the given order is already a
-    preorder; ``closure="auto"`` adds the reflexive-transitive closure.
+    sorted order, and every query reads them. ``from_masks`` is the one
+    construction core: ``closure="strict"`` validates that the masks are
+    already a preorder, ``closure="auto"`` closes them reflexively and
+    transitively. The constructor turns a set of pairs into masks and calls
+    that core; ``without_edges`` clears bits of a built model and re-checks
+    only the rows it changed. ``order`` is the masks' view as a set of
+    pairs, built on first use; no query needs it.
     """
 
-    __slots__ = ("worlds", "order", "valuation", "_masks", "_env", "_cache", "_sets", "_gen")
+    __slots__ = ("worlds", "valuation", "_masks", "_order", "_env", "_cache", "_sets", "_gen")
 
     def __init__(
         self,
@@ -61,80 +69,128 @@ class PreorderModel:
         closure: str = "strict",
     ):
         ws = tuple(sorted(set(worlds)))
+        index = {w: i for i, w in enumerate(ws)}
+        pairs = [(a, b) for a, b in order]
+        masks = [0] * len(ws)
+        try:
+            for a, b in pairs:
+                masks[index[a]] |= 1 << index[b]
+        except KeyError:
+            if ws:  # a model with no worlds is reported as such by the core
+                # sorted on the error path only, so the message is the same in every run
+                unknown = min({w for pair in pairs for w in pair} - index.keys(), key=str)
+                a, b = min((pair for pair in pairs if unknown in pair), key=str)
+                raise ModelError(f"order mentions unknown world in ({a}, {b})") from None
+        self._build(ws, masks, valuation, closure)
+
+    @classmethod
+    def from_masks(
+        cls,
+        worlds: Sequence[str],
+        masks: Sequence[int],
+        valuation: Mapping[str, Iterable[str]],
+        closure: str = "strict",
+    ) -> "PreorderModel":
+        """The model on ``worlds``, given in ascending order without repeats,
+        where world i sees the worlds at the set bits of ``masks[i]``."""
+        ws = tuple(worlds)
+        if any(a >= b for a, b in zip(ws, ws[1:])):
+            raise ModelError("world ids must be given in ascending order, each once")
+        limit = 1 << len(ws)
+        if len(masks) != len(ws) or any(not 0 <= mask < limit for mask in masks):
+            raise ModelError(f"need one successor mask over {len(ws)} worlds per world")
+        model = cls.__new__(cls)
+        model._build(ws, list(masks), valuation, closure)
+        return model
+
+    def _build(self, ws, masks, valuation, closure) -> None:
         if not ws:
             raise ModelError("a model needs at least one world")
-        index = {w: i for i, w in enumerate(ws)}
-        rel = frozenset((a, b) for a, b in order)
-        try:
-            pairs = [(index[a], index[b]) for a, b in rel]
-        except KeyError:
-            # sorted on the error path only, so the message is the same in every run
-            unknown = min({w for pair in rel for w in pair} - index.keys(), key=str)
-            a, b = min((pair for pair in rel if unknown in pair), key=str)
-            raise ModelError(f"order mentions unknown world in ({a}, {b})") from None
-        masks = [0] * len(ws)
-        for i, j in pairs:
-            masks[i] |= 1 << j
         if closure == "auto":
             for i in range(len(ws)):
                 masks[i] |= 1 << i
             for k in range(len(ws)):  # Warshall: whoever sees k sees all k sees
                 bit, reach = 1 << k, masks[k]
                 masks = [mask | reach if mask & bit else mask for mask in masks]
-            rel = frozenset((a, b) for a, mask in zip(ws, masks) for b in select(ws, mask))
         elif closure == "strict":
-            for i, w in enumerate(ws):
-                if not masks[i] >> i & 1:
-                    raise ModelError(f"order is not reflexive at {w}")
-            if any(masks[j] & ~masks[i] for i, j in pairs):
-                i, j = min((i, j) for i, j in pairs if masks[j] & ~masks[i])
-                extra = masks[j] & ~masks[i]
-                missing = ws[(extra & -extra).bit_length() - 1]
-                raise ModelError(f"order is not transitive: {ws[i]} <= {ws[j]} <= {missing}")
+            _check_preorder(ws, masks, range(len(ws)))
         else:
             raise ModelError(f"closure mode must be 'auto' or 'strict', got {closure!r}")
-        val = {}
+        index = {w: i for i, w in enumerate(ws)}
+        val, env = {}, _Valuation()
         for atom, extension in valuation.items():
             ext = frozenset(extension)
             bad = ext - index.keys()
             if bad:
                 raise ModelError(f"valuation of {atom} mentions unknown worlds {sorted(bad)}")
             val[atom] = ext
+            env[atom] = sum(1 << index[w] for w in ext)
+        self._adopt(ws, masks, val, env)
+
+    def _adopt(self, ws, masks, val, env) -> None:
         self.worlds: tuple[str, ...] = ws
-        self.order: frozenset[tuple[str, str]] = rel
         self.valuation: dict[str, frozenset[str]] = val
         self._masks = tuple(masks)
-        self._env = _Valuation((atom, sum(1 << index[w] for w in ext)) for atom, ext in val.items())
+        self._order: Optional[frozenset[tuple[str, str]]] = None
+        self._env = env
         self._cache: dict[Formula, int] = {}
         self._sets: dict[Formula, frozenset[str]] = {}
         self._gen: dict[frozenset[str], "PreorderModel"] = {}
 
-    def _mask(self, w: str) -> int:
+    def without_edges(self, pairs: Iterable[tuple[str, str]]) -> "PreorderModel":
+        """This model with the given edges deleted, validated as a preorder.
+
+        Only the rows that lose a bit are re-checked. An unchanged row i
+        cannot gain a violation: each of its successors' rows is the old
+        one or a part of it, so it still lies inside row i, and i still sees
+        itself. So the rows checked hold every defect a full strict
+        validation would find, and it is reported in the same words.
+        """
+        masks = list(self._masks)
+        changed = set()
+        for a, b in sorted(pairs):  # sorted, so a defect is named the same in every run
+            i, j = self._index(a), self._index(b)
+            if not self._masks[i] >> j & 1:
+                raise ModelError(f"order has no edge ({a}, {b})")
+            masks[i] &= ~(1 << j)
+            changed.add(i)
+        _check_preorder(self.worlds, masks, sorted(changed))
+        model = PreorderModel.__new__(PreorderModel)
+        model._adopt(self.worlds, masks, self.valuation, _Valuation(self._env))
+        return model
+
+    @property
+    def order(self) -> frozenset[tuple[str, str]]:
+        """The order as (world, successor) pairs, a view of the masks."""
+        if self._order is None:
+            ws = self.worlds
+            self._order = frozenset(
+                (a, b) for a, mask in zip(ws, self._masks) for b in select(ws, mask)
+            )
+        return self._order
+
+    def _index(self, w: str) -> int:
         i = bisect_left(self.worlds, w)
         if i == len(self.worlds) or self.worlds[i] != w:
             raise ModelError(f"unknown world {w!r}")
-        return self._masks[i]
+        return i
+
+    def _mask(self, w: str) -> int:
+        return self._masks[self._index(w)]
 
     def successors(self, w: str) -> frozenset[str]:
         return frozenset(select(self.worlds, self._mask(w)))
 
     def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self.order
-
-    def replace(self, **kwargs) -> "PreorderModel":
-        params = {
-            "worlds": self.worlds,
-            "order": self.order,
-            "valuation": self.valuation,
-            "closure": "strict",
-        }
-        params.update(kwargs)
-        return PreorderModel(**params)
+        try:
+            return bool(self._mask(a) >> self._index(b) & 1)
+        except ModelError:
+            return False
 
     def _key(self):
         return (
             self.worlds,
-            self.order,
+            self._masks,
             tuple(sorted((a, tuple(sorted(e))) for a, e in self.valuation.items())),
         )
 
@@ -145,7 +201,32 @@ class PreorderModel:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"PreorderModel({len(self.worlds)} worlds, {len(self.order)} edges)"
+        edges = sum(mask.bit_count() for mask in self._masks)
+        return f"PreorderModel({len(self.worlds)} worlds, {edges} edges)"
+
+
+def _check_preorder(ws: Sequence[str], masks: Sequence[int], rows: Iterable[int]) -> None:
+    """Raise for the first defect in the given rows, in ascending order: a
+    world that does not see itself, then a row i with a successor j whose
+    row is not inside row i, named by the least such (i, j) and the least
+    world j sees that i does not."""
+    rows = list(rows)
+    for i in rows:
+        if not masks[i] >> i & 1:
+            raise ModelError(f"order is not reflexive at {ws[i]}")
+    checked = set()
+    for i in rows:
+        row = masks[i]
+        if row in checked:  # equal rows pass or fail together
+            continue
+        checked.add(row)
+        outside = ~row
+        # rows repeat within a cluster, so each distinct successor row is tested once
+        if any(succ & outside for succ in set(select(masks, row))):
+            j = next(j for j in select(range(len(ws)), row) if masks[j] & outside)
+            extra = masks[j] & outside
+            missing = ws[(extra & -extra).bit_length() - 1]
+            raise ModelError(f"order is not transitive: {ws[i]} <= {ws[j]} <= {missing}")
 
 
 class _Valuation(dict):
@@ -437,9 +518,10 @@ def _p_morphism_defect(
     it is one."""
     if set(mapping.values()) != set(range(size)):
         return "p-morphism is not surjective"
-    for a, b in source.order:
-        if (mapping[a], mapping[b]) not in rel:
-            return f"p-morphism not monotone at ({a},{b})"
+    for a, mask in zip(source.worlds, source._masks):
+        for b in select(source.worlds, mask):
+            if (mapping[a], mapping[b]) not in rel:
+                return f"p-morphism not monotone at ({a},{b})"
     for w in source.worlds:
         fw = mapping[w]
         images = {mapping[v] for v in source.successors(w)}
@@ -493,7 +575,10 @@ def find_p_morphism(
 def model_to_dict(model: PreorderModel) -> dict:
     return {
         "worlds": list(model.worlds),
-        "order": sorted([a, b] for a, b in model.order),
+        # row by row: worlds and the bits of a row ascend, so the pairs come sorted
+        "order": [
+            [a, b] for a, mask in zip(model.worlds, model._masks) for b in select(model.worlds, mask)
+        ],
         "valuation": {a: sorted(ext) for a, ext in sorted(model.valuation.items())},
         "closure": "strict",
     }
@@ -502,9 +587,22 @@ def model_to_dict(model: PreorderModel) -> dict:
 def model_from_masks(succ: Sequence[int], env: Mapping[str, int]) -> PreorderModel:
     """The model on worlds w0, w1, ... with successor masks ``succ`` and atom
     extension masks ``env``, as ``eval_on_frame`` reads them."""
-    worlds = [f"w{i}" for i in range(len(succ))]
-    order = [(a, b) for a, mask in zip(worlds, succ) for b in select(worlds, mask)]
-    return PreorderModel(worlds, order, {name: select(worlds, bits) for name, bits in env.items()})
+    worlds, ranked, bit = _w_names(len(succ))
+    valuation = {name: select(worlds, bits) for name, bits in env.items()}
+    masks = [sum(select(bit, succ[i])) for i in ranked]
+    return PreorderModel.from_masks([worlds[i] for i in ranked], masks, valuation)
+
+
+@lru_cache(maxsize=64)
+def _w_names(k: int) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """The names w0 .. w{k-1}, their indices in name order (w10 sorts before
+    w2), and for each index i the bit of w_i's row in the sorted model."""
+    worlds = tuple(f"w{i}" for i in range(k))
+    ranked = tuple(sorted(range(k), key=worlds.__getitem__))
+    bit = [0] * k
+    for r, i in enumerate(ranked):
+        bit[i] = 1 << r
+    return worlds, ranked, tuple(bit)
 
 
 def model_from_dict(data: Mapping) -> PreorderModel:

@@ -5,7 +5,11 @@ Sigma when every boxed member []f of Sigma that is "unresolved" on S (all of
 S satisfies ~[]f & f) has its failure witnessed strictly above the cluster.
 Such a set licenses deleting every intra-cluster edge that does not point
 into S: the result is again a preorder, confluence is preserved, and the
-extension of every member of a subformula-closed Sigma is unchanged.
+extension of every member of a subformula-closed Sigma is unchanged. A
+step edits the model's successor masks (``PreorderModel.without_edges``):
+it clears the deleted edges' bits and validates as a preorder only the
+rows of the cluster that lost one, since no other row can break; the
+model is never rebuilt from pairs.
 
 refine_model drives this over a whole model: repeatedly refine a minimal
 oversized non-final cluster, then the oversized final clusters. Minimal
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import kripke
@@ -52,13 +57,16 @@ def make_plan(model: PreorderModel, cluster: frozenset[str], keep: Iterable[str]
         (y, z)
         for y in cluster
         for z in cluster
-        if y != z and z not in keep_set and (y, z) in model.order
+        if y != z and z not in keep_set and model.leq(y, z)
     )
     return RefinementPlan(cluster, keep_set, removed)
 
 
-def boxed_members(sigma: Iterable[Formula]) -> list[Formula]:
-    return sorted_formulas(f for f in sigma if isinstance(f, Box))
+@lru_cache(maxsize=16)
+def boxed_members(sigma: frozenset[Formula]) -> tuple[Formula, ...]:
+    """The boxed members of sigma in canonical order; a refinement asks for
+    the same few sets at every step, so each is sorted once."""
+    return tuple(sorted_formulas(f for f in sigma if isinstance(f, Box)))
 
 
 def is_adequate(
@@ -88,7 +96,7 @@ def inadequacy_witness(
     strict_above = frozenset(
         z for z in model.successors(anchor) if not model.leq(z, anchor)
     )
-    for boxed in boxed_members(sigma):
+    for boxed in boxed_members(frozenset(sigma)):
         unresolved = model_check(model, And(Not(boxed), boxed.sub))
         if subset <= unresolved:
             escape = model_check(model, Not(boxed.sub))
@@ -98,16 +106,14 @@ def inadequacy_witness(
 
 
 def refine_cluster(model: PreorderModel, plan: RefinementPlan) -> PreorderModel:
-    """Apply the plan's edge deletions; the result is validated as a preorder."""
+    """Apply the plan's edge deletions; the result is validated as a preorder
+    on the rows that lost an edge (``PreorderModel.without_edges``)."""
     if not plan.cluster <= set(model.worlds):
         raise RefinementError("plan cluster does not live in this model")
-    if not plan.removed_edges <= model.order:
-        raise RefinementError("plan removes edges the model does not have")
-    order = model.order - plan.removed_edges
     try:
-        return model.replace(order=order)
-    except kripke.ModelError as exc:  # pragma: no cover - 4.2 guarantees a preorder
-        raise RefinementError(f"refinement broke the preorder: {exc}") from exc
+        return model.without_edges(plan.removed_edges)
+    except kripke.ModelError as exc:  # an edge the model lacks; 4.2 guarantees a preorder
+        raise RefinementError(f"plan does not apply to this model: {exc}") from exc
 
 
 def find_adequate_set(

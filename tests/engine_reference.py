@@ -1,9 +1,13 @@
-"""Reference frame enumeration for the tests, one valuation at a time.
+"""Reference frame enumeration and model building for the tests.
 
+``labeled_posets_reference`` is the table of labelled strict orders on
+sets of pairs that ``engine`` built before it ran it on successor masks.
 ``canonical_frames_reference`` picks each isomorphism class's
 representative as the least of all permutation images of every labelled
-preorder. ``frame_walk_reference`` scans the class frames in that order and
-runs ``eval_on_frame`` once per valuation, in ``itertools.product`` order,
+preorder. ``types_to_model_reference`` builds the type-space model from
+the set of all world pairs whose box signatures are included.
+``frame_walk_reference`` scans the class frames in that order and runs
+``eval_on_frame`` once per valuation, in ``itertools.product`` order,
 re-checking each hit on a validated model. ``fingerprint_reference`` is the
 interpolant fingerprint on one ``eval_on_frame`` call per frame and
 valuation of the first two atoms, over ``fingerprint_zoo_reference``.
@@ -16,8 +20,52 @@ from functools import lru_cache
 
 from gammalog import kripke
 from gammalog.engine import in_frame_class, labeled_preorders, size_layer
-from gammalog.kripke import eval_on_frame, model_from_masks
-from gammalog.syntax import FALSE, TRUE, Atom, atoms, node_count, sort_key
+from gammalog.kripke import PreorderModel, eval_on_frame, model_from_masks
+from gammalog.syntax import FALSE, TRUE, Atom, Box, atoms, node_count, sort_key
+
+
+def _subsets(items):
+    for r in range(len(items) + 1):
+        yield from itertools.combinations(items, r)
+
+
+@lru_cache(maxsize=None)
+def labeled_posets_reference(b):
+    """All strict partial orders on range(b), as transitive irreflexive sets:
+    each order on range(b-1) extended by point b-1 in every consistent way."""
+    if b == 0:
+        return (frozenset(),)
+    new = b - 1
+    existing = list(range(new))
+    out = []
+    for rel in labeled_posets_reference(new):
+        for down in _subsets(existing):
+            dset = set(down)
+            if any((d2, d) in rel and d2 not in dset for d in dset for d2 in existing):
+                continue
+            ups = [u for u in existing if u not in dset]
+            for up in _subsets(ups):
+                uset = set(up)
+                if any((u, u2) in rel and u2 not in uset for u in uset for u2 in ups):
+                    continue
+                if any((d, u) not in rel for d in dset for u in uset):
+                    continue
+                out.append(rel | {(d, new) for d in dset} | {(new, u) for u in uset})
+    return tuple(out)
+
+
+def types_to_model_reference(letters, names, top=()):
+    box_mask = sum(1 << j for j, f in enumerate(letters) if isinstance(f, Box))
+    sig = {w: i & box_mask for i, w in names.items()}
+    top_names = [f"u{idx:06d}" for idx in range(len(top))]
+    order = {(a, b) for a in sig for b in sig if sig[a] & ~sig[b] == 0}
+    order.update(itertools.product(list(sig) + top_names, top_names))
+    typed = list(names.items()) + list(zip(top, top_names))
+    valuation = {
+        letter.name: [w for i, w in typed if i >> j & 1]
+        for j, letter in enumerate(letters) if isinstance(letter, Atom)
+    }
+    return PreorderModel(list(sig) + top_names, order, valuation)
 
 
 @lru_cache(maxsize=None)

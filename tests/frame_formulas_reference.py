@@ -4,7 +4,7 @@
 ``frame_formulas`` used before it packed its substitution instances into
 copies of the frame: every argument tuple in ``itertools.product`` order,
 each distinct tuple of argument extensions checked once on a model rebuilt
-with p_i revalued to [[args_i]] (and no other atom valued).
+with p_i revalued to [[args_i]] and every other atom as the model values it.
 """
 
 import itertools
@@ -28,7 +28,9 @@ def relative_satisfaction_witness_reference(model, cluster, chi, sigma, max_tupl
         ext_key = tuple(extensions[a] for a in args)
         ok = seen.get(ext_key)
         if ok is None:
-            revalued = model.replace(valuation={f"p{i}": ext for i, ext in enumerate(ext_key)})
+            valuation = dict(model.valuation)
+            valuation.update((f"p{i}", ext) for i, ext in enumerate(ext_key))
+            revalued = kripke.PreorderModel(model.worlds, model.order, valuation)
             ok = cluster <= kripke.model_check(revalued, chi)
             seen[ext_key] = ok
         if not ok:

@@ -6,7 +6,9 @@ operations, straight from the definitions, and ``clusters_reference``
 partitions a model by comparing every pair of worlds with ``leq``. Both
 read only a model's public interface (``worlds``, ``valuation``,
 ``successors``, ``leq``). ``reflexive_transitive_closure`` closes a
-relation on sets of world ids by iterating to a fixed point.
+relation on sets of world ids by iterating to a fixed point, and
+``preorder_defect_reference`` names the first defect that strict
+validation reports, from the pairs alone.
 """
 
 from gammalog.kripke import ClusterView
@@ -69,6 +71,24 @@ def reflexive_transitive_closure(worlds, rel) -> dict:
                 succ[w] |= extra
                 changed = True
     return succ
+
+
+def preorder_defect_reference(worlds, rel):
+    """The message of the first defect of rel as a preorder on worlds, None
+    if it is one: the least world that does not see itself, else the least
+    pair (a, b) (by world order) with a world c that b sees and a does not,
+    named by the least such c."""
+    ws = sorted(set(worlds))
+    for w in ws:
+        if (w, w) not in rel:
+            return f"order is not reflexive at {w}"
+    for a in ws:
+        for b in ws:
+            if (a, b) in rel:
+                for c in ws:
+                    if (b, c) in rel and (a, c) not in rel:
+                        return f"order is not transitive: {a} <= {b} <= {c}"
+    return None
 
 
 def clusters_reference(model) -> ClusterView:

@@ -128,7 +128,7 @@ def test_substitution_commutes_with_model_checking(case):
     model, args = case
     chi = parse("[](p0 -> <>p1) & (p1 | ~p0)")
     direct = model_check(model, substitute(chi, args))
-    revalued = model.replace(valuation={
+    revalued = PreorderModel(model.worlds, model.order, {
         "p0": model_check(model, args[0]),
         "p1": model_check(model, args[1]),
     })
@@ -178,6 +178,15 @@ def test_relative_satisfaction_witness_on_split_cluster():
     witness = relative_satisfaction_witness(m, cluster, gamma(1, False), [parse("p"), parse("~p")])
     assert witness is not None
     assert not satisfies_relative(m, cluster, gamma(1, False), [parse("p"), parse("~p")])
+
+
+def test_relative_satisfaction_keeps_the_extension_of_other_atoms():
+    # q is no substitution slot of p0 | q: the instance false | q holds at w
+    m = PreorderModel(["w"], [("w", "w")], {"q": ["w"]})
+    chi, sigma = parse("p0 | q"), [parse("false")]
+    assert model_check(m, substitute(chi, sigma)) == {"w"}
+    assert relative_satisfaction_witness(m, frozenset({"w"}), chi, sigma) is None
+    assert relative_satisfaction_witness_reference(m, frozenset({"w"}), chi, sigma) is None
 
 
 def test_relative_satisfaction_cap():

@@ -25,7 +25,7 @@ from gammalog.kripke import eval_on_frame
 from gammalog.syntax import And, Atom, Box, Diamond, Iff, Implies, Not, Or, FALSE, TRUE, parse
 from engine_reference import (
     canonical_frames_reference, fingerprint_reference, fingerprint_zoo_reference,
-    frame_walk_reference,
+    frame_walk_reference, labeled_posets_reference,
 )
 
 LOGICS = [parse_logic(name) for name in ("S4", "S4.2", "Grz", "G(Int,1,2)", "G(KC,2,1)")]
@@ -202,9 +202,19 @@ def test_copies_evaluate_like_one_copy_at_a_time(case, f):
 
 
 def test_canonical_frames_match_the_reference():
-    for k in range(1, 5):
+    for k in range(1, 6):
         assert canonical_frames(k) == canonical_frames_reference(k)
     assert len(canonical_frames(5)) == 139
+
+
+def test_labeled_posets_on_masks_match_the_pair_set_build():
+    # the same strict orders in the same order, row i holding the points above i
+    for b in range(6):
+        posets = [
+            frozenset((i, j) for i, up in enumerate(ups) for j in range(b) if up >> j & 1)
+            for ups in engine._labeled_posets(b)
+        ]
+        assert posets == list(labeled_posets_reference(b))
 
 
 def test_labeled_preorders_keep_their_order():

@@ -14,11 +14,12 @@ from gammalog.frame_formulas import cluster_frame
 from gammalog.kripke import (
     ModelError, PMorphism, PreorderModel, clusters, cluster_sizes, dump_model,
     eval_valuations, find_p_morphism, frame_shape, generated_submodel, is_confluent,
-    load_model, model_check, model_from_dict,
+    load_model, model_check, model_from_dict, model_from_masks,
 )
 from gammalog.syntax import Atom, Box, parse
 from kripke_reference import (
-    clusters_reference, model_check_reference, reflexive_transitive_closure,
+    clusters_reference, model_check_reference, preorder_defect_reference,
+    reflexive_transitive_closure,
 )
 
 
@@ -79,19 +80,28 @@ _SEVERAL_DEFECTS = [
 ]
 
 
+def _built(build):
+    try:
+        return build().order
+    except ModelError as exc:
+        return str(exc)
+
+
 def _check_closure_against_the_reference(worlds, rel):
+    # the pair constructor and from_masks agree with the reference on the
+    # closure, on acceptance and on the exact text of the first defect;
+    # worlds come in ascending order, as from_masks needs
     succ = reflexive_transitive_closure(worlds, rel)
     closed = {(a, b) for a in worlds for b in succ[a]}
+    defect = preorder_defect_reference(worlds, rel)
+    assert (defect is None) == (set(rel) == closed)
+    masks = [sum(1 << worlds.index(b) for a2, b in rel if a2 == a) for a in worlds]
+    for closure, expected in (("auto", closed), ("strict", defect or closed)):
+        assert _built(lambda: PreorderModel(worlds, rel, {}, closure=closure)) == expected
+        assert _built(lambda: PreorderModel.from_masks(worlds, masks, {}, closure=closure)) == expected
     auto = PreorderModel(worlds, rel, {}, closure="auto")
-    assert auto.order == closed
     for w in worlds:
         assert auto.successors(w) == succ[w]
-    try:
-        strict = PreorderModel(worlds, rel, {})
-    except ModelError:
-        assert set(rel) != closed
-    else:
-        assert set(rel) == closed and strict.order == closed
 
 
 def test_closure_matches_the_reference_on_every_three_world_relation():
@@ -115,6 +125,63 @@ def _relations(draw):
 @given(_relations())
 def test_closure_matches_the_reference_on_random_relations(case):
     _check_closure_against_the_reference(*case)
+
+
+def test_from_masks_validates_its_layout():
+    def message(worlds, masks):
+        with pytest.raises(ModelError) as info:
+            PreorderModel.from_masks(worlds, masks, {})
+        return str(info.value)
+
+    assert message(["b", "a"], [0b11, 0b11]) == "world ids must be given in ascending order, each once"
+    assert message(["a", "a"], [0b11, 0b11]) == "world ids must be given in ascending order, each once"
+    assert message(["a", "b"], [0b11]) == "need one successor mask over 2 worlds per world"
+    assert message(["a", "b"], [0b111, 0b10]) == "need one successor mask over 2 worlds per world"
+    assert message(["a", "b"], [0b11, -1]) == "need one successor mask over 2 worlds per world"
+    assert message([], []) == "a model needs at least one world"
+    model = PreorderModel.from_masks(["a", "b"], [0b11, 0b10], {"p": ["b"]})
+    assert model == PreorderModel(["a", "b"], [("a", "a"), ("a", "b"), ("b", "b")], {"p": ["b"]})
+
+
+@pytest.mark.parametrize("k", [3, 10, 11, 13])
+def test_model_from_masks_names_world_i_wi_past_ten_worlds(k):
+    # w10 sorts before w2, so from 11 worlds on the rows are permuted
+    succ = [(1 << k) - (1 << i) for i in range(k)]  # the chain 0 <= 1 <= ... <= k-1
+    env = {"p": 0b101, "q": 1 << k - 1}
+    worlds = [f"w{i}" for i in range(k)]
+    expected = PreorderModel(
+        worlds, [(a, b) for i, a in enumerate(worlds) for b in worlds[i:]],
+        {"p": ["w0", "w2"], "q": [worlds[-1]]},
+    )
+    assert model_from_masks(succ, env) == expected
+
+
+@st.composite
+def _edge_deletions(draw):
+    worlds, rel = draw(_relations())
+    model = PreorderModel(worlds, rel, {"p": worlds[:1]}, closure="auto")
+    cluster = sorted(draw(st.sampled_from(clusters(model).clusters)))
+    inside = [(a, b) for a in cluster for b in cluster]
+    pool = draw(st.sampled_from([inside, sorted(model.order)]))
+    return model, draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_deletions())
+def test_without_edges_agrees_with_a_strict_rebuild(case):
+    model, removed = case
+    rebuilt = _built(lambda: PreorderModel(model.worlds, model.order - removed, model.valuation))
+    assert _built(lambda: model.without_edges(removed)) == rebuilt
+    if not isinstance(rebuilt, str):
+        assert model.without_edges(removed) == PreorderModel(model.worlds, rebuilt, model.valuation)
+
+
+def test_without_edges_rejects_edges_it_lacks():
+    chain = PreorderModel(["a", "b"], [("a", "b")], {}, closure="auto")
+    with pytest.raises(ModelError, match=r"order has no edge \(b, a\)"):
+        chain.without_edges([("b", "a")])
+    with pytest.raises(ModelError, match="unknown world 'z'"):
+        chain.without_edges([("a", "z")])
 
 
 def test_successors_match_the_order_on_every_four_world_preorder():
@@ -448,7 +515,7 @@ def test_eval_valuations_matches_the_reference_semantics_across_chunks(monkeypat
     valuations += [{"p0": 0b101}, {"p1": 0b11}, {}, {"p0": 63, "r": 1}]
     expected = []
     for valuation in valuations:
-        revalued = model.replace(valuation={
+        revalued = PreorderModel(model.worlds, model.order, {
             atom: [w for i, w in enumerate(worlds) if mask >> i & 1]
             for atom, mask in valuation.items()
         })

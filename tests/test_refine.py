@@ -1,12 +1,20 @@
+import pathlib
+
 import pytest
 
 from gammalog.frame_formulas import OMEGA
-from gammalog.kripke import PreorderModel, cluster_sizes, clusters, is_confluent, model_check
+from gammalog.kripke import (
+    PreorderModel, cluster_sizes, clusters, is_confluent, load_model, model_check,
+)
 from gammalog.refine import (
-    RefinementError, find_adequate_set, inadequacy_witness,
+    RefinementError, RefinementPlan, find_adequate_set, inadequacy_witness,
     is_adequate, make_plan, refine_cluster, refine_model,
 )
-from gammalog.syntax import boolean_subformula_closure, parse, pretty, sorted_formulas, to_core
+from gammalog.syntax import (
+    boolean_subformula_closure, parse, pretty, sorted_formulas, subformula_closure, to_core,
+)
+
+INPUTS = pathlib.Path(__file__).parents[1] / "perfbench" / "inputs"
 
 
 def total(worlds):
@@ -87,6 +95,15 @@ def test_make_plan_validates():
         make_plan(m, frozenset("abc"), {"a", "b", "c"})
     with pytest.raises(RefinementError):
         make_plan(m, frozenset("ab"), {"c"})
+
+
+def test_refine_cluster_rejects_a_plan_for_another_model():
+    chain = PreorderModel(["a", "b"], [("a", "b")], {}, closure="auto")
+    plan = RefinementPlan(frozenset("ab"), frozenset("a"), frozenset({("b", "a")}))
+    with pytest.raises(RefinementError, match=r"order has no edge \(b, a\)"):
+        refine_cluster(chain, plan)
+    with pytest.raises(RefinementError, match="does not live in this model"):
+        refine_cluster(chain, RefinementPlan(frozenset("az"), frozenset("a"), frozenset()))
 
 
 def test_find_adequate_set_singleton_cluster():
@@ -174,3 +191,19 @@ def test_refine_model_termination_measure():
     steps = []
     refine_model(m, SIGMA_P, SIGMA_P, 1, 1, step_log=steps)
     assert len(steps) == 3
+
+
+def test_refine_model_never_builds_the_order_view(monkeypatch):
+    # the 196-world S4 model of (p, q) takes 36 steps at (2, 2); every step
+    # reads and edits the successor masks, never the pairs of ``order``
+    model = load_model(INPUTS / "s4_p_q.json")
+    lines = (INPUTS / "s4_p_q.sigma").read_text(encoding="utf-8").splitlines()
+    sigma = subformula_closure(to_core(parse(line)) for line in lines if line.strip())
+    built = []
+    view = PreorderModel.order
+    monkeypatch.setattr(PreorderModel, "order", property(lambda m: built.append(m) or view.fget(m)))
+    steps = []
+    refined = refine_model(model, sigma, sigma, 2, 2, step_log=steps)
+    assert len(steps) == 36 and built == []
+    finals, nonfinals = cluster_sizes(refined)
+    assert max(finals + nonfinals) <= 2

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
-from gammalog.engine import Budget, parse_logic
-from gammalog.kripke import is_confluent, model_check, model_to_dict
+from gammalog.engine import Budget, TypeSpace, base_models, parse_logic, types_to_model
+from gammalog.kripke import is_confluent, model_check, model_to_dict, select
 from gammalog.smorynski import (
     Inseparable, OracleUndecided, SeparableError, Separable,
     _maximal_sets_from_types, build_smorynski_model, extend_to_maximal, is_separable,
@@ -10,8 +12,9 @@ from gammalog.smorynski import (
 from gammalog.suites import _TRUTH_SEEDS
 from gammalog.syntax import (
     Atom, Box, Bottom, SignedClosure, atoms, iter_negation_pairs, parse,
-    pretty,
+    pretty, sorted_formulas,
 )
+from engine_reference import types_to_model_reference
 from smorynski_reference import maximal_sets_by_branching, maximal_sets_by_scan
 
 S4 = parse_logic("S4")
@@ -148,6 +151,27 @@ def test_maximal_sets_match_the_per_type_scan(logic, seeds):
         closure = SignedClosure.from_seeds([parse(left)], [parse(right)])
         assert _maximal_sets_from_types(closure, logic, budget) == \
             maximal_sets_by_scan(closure, logic, budget), (str(logic), left, right)
+
+
+@pytest.mark.parametrize("logic, seeds", [
+    ("S4", _TRUTH_SEEDS), ("S4.2", _TRUTH_SEEDS), ("G(KC,2,2)", [("p", "q")]),
+])
+def test_types_to_model_matches_the_pair_set_build(logic, seeds):
+    # the Smorynski worlds, and each base model with its top cluster, give
+    # the model that the set of all signature-including pairs gives
+    logic = parse_logic(logic)
+    budget = Budget(max_letters=24, max_types=250_000)
+    for left, right in seeds:
+        closure = SignedClosure.from_seeds([parse(left)], [parse(right)])
+        letters, maximal = _maximal_sets_from_types(closure, logic, budget)
+        names = {i: label for label, i, _ in maximal}
+        assert types_to_model(letters, names) == types_to_model_reference(letters, names)
+        space = TypeSpace(sorted_formulas(closure.sigma), budget)
+        for survivors, top in base_models(space, logic.confluent):
+            ranked = enumerate(select(itertools.count(), survivors))
+            names = {i: f"t{idx:06d}" for idx, i in ranked}
+            assert types_to_model(letters, names, top) == \
+                types_to_model_reference(letters, names, top), (str(logic), left, right)
 
 
 def test_smorynski_equivalent_members_co_decided():
