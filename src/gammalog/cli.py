@@ -74,10 +74,14 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _model_line(args, model, written: str) -> str:
-    """Write the model to --out and say so, or give it as one JSON line."""
+    """Write the model to --out and say so, or give it as one JSON line. The
+    line is for text output only: JSON output carries the model in its
+    payload, so there it stays empty and the model is not encoded twice."""
     if args.out:
         kripke.dump_model(model, args.out)
         return f"{written} {args.out}"
+    if args.format == "json":
+        return ""
     return json.dumps(kripke.model_to_dict(model), sort_keys=True)
 
 

@@ -773,7 +773,9 @@ def _frame_formula_sat(f: Formula, logic: LogicId):
 # sat / valid / equivalent
 # ---------------------------------------------------------------------------
 
+# a pass of the decide benchmark stores about 3,500 verdicts
 _SAT_CACHE: dict[tuple, object] = {}
+_SAT_CACHE_SIZE = 1 << 15
 
 
 def sat(f: Formula, logic: LogicId, budget: Optional[Budget] = None):
@@ -792,6 +794,8 @@ def sat(f: Formula, logic: LogicId, budget: Optional[Budget] = None):
     result = _sat_uncached(f, logic, budget)
     if not isinstance(result, Unknown):
         # an Unknown may come from the time budget, so it is never reused
+        if len(_SAT_CACHE) >= _SAT_CACHE_SIZE:  # forget the oldest verdict
+            del _SAT_CACHE[next(iter(_SAT_CACHE))]
         _SAT_CACHE[key] = result
     return result
 

@@ -149,7 +149,7 @@ class PreorderModel:
         masks = list(self._masks)
         changed = set()
         for a, b in sorted(pairs):  # sorted, so a defect is named the same in every run
-            i, j = self._index(a), self._index(b)
+            i, j = self.index(a), self.index(b)
             if not self._masks[i] >> j & 1:
                 raise ModelError(f"order has no edge ({a}, {b})")
             masks[i] &= ~(1 << j)
@@ -169,21 +169,27 @@ class PreorderModel:
             )
         return self._order
 
-    def _index(self, w: str) -> int:
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The successor masks: bit j of ``masks[i]`` says worlds[i] <= worlds[j]."""
+        return self._masks
+
+    def index(self, w: str) -> int:
+        """The position of w in ``worlds``, which is its bit in every mask."""
         i = bisect_left(self.worlds, w)
         if i == len(self.worlds) or self.worlds[i] != w:
             raise ModelError(f"unknown world {w!r}")
         return i
 
     def _mask(self, w: str) -> int:
-        return self._masks[self._index(w)]
+        return self._masks[self.index(w)]
 
     def successors(self, w: str) -> frozenset[str]:
         return frozenset(select(self.worlds, self._mask(w)))
 
     def leq(self, a: str, b: str) -> bool:
         try:
-            return bool(self._mask(a) >> self._index(b) & 1)
+            return bool(self._mask(a) >> self.index(b) & 1)
         except ModelError:
             return False
 
@@ -374,12 +380,18 @@ def _eval(layout, env: Mapping[str, int], f: Formula, cache: dict) -> int:
     return out
 
 
+def world_mask(model: PreorderModel, f: Formula, cache: Optional[dict] = None) -> int:
+    """[[f]] as a world mask, bit i for ``model.worlds[i]``. The masks of f's
+    subformulas are kept in ``cache``, or in the model's own when none is
+    given."""
+    return eval_on_frame(model._masks, model._env, f, model._cache if cache is None else cache)
+
+
 def model_check(model: PreorderModel, f: Formula) -> frozenset[str]:
     """The set of worlds satisfying f under the standard Kripke semantics."""
     out = model._sets.get(f)
     if out is None:
-        mask = eval_on_frame(model._masks, model._env, f, model._cache)
-        out = frozenset(select(model.worlds, mask))
+        out = frozenset(select(model.worlds, world_mask(model, f)))
         model._sets[f] = out
     return out
 

@@ -297,6 +297,101 @@ GOLDEN_SMORYNSKI_S42_P_Q_SHA256 = (
 )
 
 
+# sha256 of the JSON and the text stdout of `refine` on each committed bench
+# input under each bound pair of the refine workload.
+GOLDEN_REFINE_SHA256 = {
+    ("s4_p_q", "2", "2"): ("855af6491777be5ff3ff9280737b3e235309611520658fff909f6a2078182a0b",
+        "ca8c4a5e7d2b58dc6dd5b71b609ecb049a8ee56ace123bf78bd793098c4ddd9a"),
+    ("s4_p_q", "w", "2"): ("9e97dd59690615b2cbf828ef2d7bb103571e31e941debc8911ed60e50e947d39",
+        "7513cf5321d2fcf8af13fe75d6cd988c861943af4f18b85275e460130fb199dd"),
+    ("s4_p_q", "2", "w"): ("61c9f4db33501444ff40dda0189e943cd617045a11aa86deffa315cae9a698c9",
+        "925de4d62a1584c37a3235cb50edc62c45e7c1ff68c51394b094c1c76a5a05fc"),
+    ("s42_p_q", "2", "2"): ("dacf45d2c441dbccd6a3cdffb2bc7a00a6a95687e9deade6ed9268815fa73a25",
+        "f8f777200f41d829dd5fa3fa94bd24fd68e8adc0f608c7de64857c419b4a004d"),
+    ("s42_p_q", "w", "2"): ("adb16304a63f7cb9bab2bb336522fd83a143fac48e5d64f920d6ed4da481fcbb",
+        "47e43f0be94b6146c2d22054ad040bb73d2f79fea84bdc3c39b4091702e936ab"),
+    ("s42_p_q", "2", "w"): ("91c49251a640bb18b3b3cb213bd40e2982b8f7584f8013a4ff703e768d979d6d",
+        "77b2fda1f6b33ff7227b3bf348dffb2401945d362fd24edfa5e79c0ed1019933"),
+    ("s42_pandq_p", "2", "2"): ("8e1df4ea906c6ecef4858745ceaed3229770efbed49160d774fff342366897ca",
+        "14da2640b3521f39e9d8a2c6d1fce3d3f3024a61a5986e404ccb2684a310397b"),
+    ("s42_pandq_p", "w", "2"): ("548e0cd246c3f219a219f77a0b975933d68abcb40270a1e4e1bd25342c6aabfb",
+        "67674a9750e63f313956b90fc3754b022b736a496b48e9834c23512e2eecd304"),
+    ("s42_pandq_p", "2", "w"): ("409cd2317fded0be2960359b37207c9bdf64492a9bb90354b8ff94fddfc57fd2",
+        "a449f73856ff6785cb973471c2b5441d767124cabe2b55a6937dfc16a7a41aee"),
+    ("s42_boxpandq_p", "2", "2"): ("ec5edcaa6d834348d57aaa347c0938a635dc260c092159c081c67a5f2f7868a4",
+        "201ae79db42a5700236db80136846b10ddb5d31c98e85affb410fbc4111f5f71"),
+    ("s42_boxpandq_p", "w", "2"): ("dcf58b467e5aff62155ee77897aa6bd3357846ddff4a1e8978538c91850c184d",
+        "f4b7cd37a9c79210455778c9eb4c9e3ddeebee54a26b792463a2d472bf46205a"),
+    ("s42_boxpandq_p", "2", "w"): ("bca652472e1f2e9d341972c4607e4e7d39e004815bf4c8a07333e918c59465b3",
+        "8d9d4c170c6ef456ef052b303b6c13f8385a1af8caab8ae3ea0ee3f5d136f86d"),
+    ("s42_diapandq_p", "2", "2"): ("4e2e87eaa4e87b169e03699f4c9e745a97a4b0aef4f18496dbf3bc23df9fa216",
+        "3284de5661b96788897800ae1cac0e50f17795ace2f75f8f595aa1187ffe2363"),
+    ("s42_diapandq_p", "w", "2"): ("3d843309f1f59853f7b27d2bebb5827ca7a3f89f3899e77f9aecb66c36d308b0",
+        "2d3e137d51f53e4101ed91c6a9f0f06397e2d06805c9f13921a26134eec97b3d"),
+    ("s42_diapandq_p", "2", "w"): ("d626631d7266bd452b1781e2202594077c91a4d49c8c67b03f47ae91d2be3ec1",
+        "188ed020921a71a56c81c235789ba24941e2f741495b9876e91bf690e74a9ee4"),
+    ("s42_boxpandboxq_p", "2", "2"): ("e13d7102cfea910c378e7052dc50abc5ac351df0f9a1f80ecbb4fb4a8823ef45",
+        "0fe457676e1fc4f90338126f1b638d975d056457e59648da71cfc4be20c686ef"),
+    ("s42_boxpandboxq_p", "w", "2"): ("cc4850e60140014a4f7a7b4eb59a65982704cbec87c42aaae9043252d00bb2b3",
+        "e9f135f44c8188bebf50eff0a607161c3e76885c1f5203cad55852fb7691a716"),
+    ("s42_boxpandboxq_p", "2", "w"): ("961fa4515c7f2758141bfe42ac8f9479dd66f557f548d630a8bce39128abcf60",
+        "29b52dff8228ff818bb00b7ba8d6560e0c29c77665aff90c494ff097253e216e"),
+    ("s42_diapanddiaq_p", "2", "2"): ("902d07e4ec383a475090a3f560ab607c8e192b01951ea7a39f54ff2e61dfd470",
+        "138443dcaeb6e07029be22384b7578505a2488663b004008ee834aaead6f416a"),
+    ("s42_diapanddiaq_p", "w", "2"): ("4d890909bc721dc6782775c8996a9f16ba97a8c85bda9aa7070e446084b442a8",
+        "6dce5520cafce5ea23baa2d0d67b22f448915f28c3e1f687ece04f4be3a4e733"),
+    ("s42_diapanddiaq_p", "2", "w"): ("d964c2744f083f1c48b4de7cf54c3a7c70f0603e7394c991b961e50a9b590800",
+        "1f88de7577b2e4e4463be5982438f4c8b08d92c0cf0d1a89907bcf95b77d1a6f"),
+    ("s42_boxpanddiaq_p", "2", "2"): ("d081db6d32a71eea96935c101b81b9805b01a071d1dfd5ab5987ceddfd868ca9",
+        "24ba3d0d2485b7aabf802a52ac827186223190ba7e7ab51421a67343fe090a67"),
+    ("s42_boxpanddiaq_p", "w", "2"): ("81c576f0cb9db6d01e62f4cd91df50210c8d089d8b49f4006d37a894c3fc7732",
+        "ded12e17a3e77fab84b64b3613a9c4e2dc4d991aa23776a18c4d7af7535b544c"),
+    ("s42_boxpanddiaq_p", "2", "w"): ("f2ea4fdbebce6c956dba12f0dd8f09ead384982f5025871a3ff599cb738ca923",
+        "b7086272cc663d855251393001b9a7a0e80cf5f48b9ed89026b54a03bd365bab"),
+}
+
+
+def test_refine_output_is_pinned(capsys):
+    inputs = pathlib.Path(__file__).parents[1] / "perfbench" / "inputs"
+    changed = []
+    for (stem, m, n), expected in GOLDEN_REFINE_SHA256.items():
+        digests = []
+        for fmt in ("json", "text"):
+            code, out, _ = run(capsys, "--format", fmt, "refine", str(inputs / f"{stem}.json"),
+                               "--sigma", str(inputs / f"{stem}.sigma"), "--m", m, "--n", n)
+            assert code == 0, (stem, m, n, fmt)
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        if tuple(digests) != expected:
+            changed.append((stem, m, n))
+    assert len(GOLDEN_REFINE_SHA256) == 24 and not changed, changed
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--logic", "S4", "<>[]p -> []<>p"],
+    ["countermodel", "--logic", "S4", "[]<>p -> <>[]p"],
+    ["interpolate", "--logic", "S4", "<>p", "p"],
+    ["refine", "MODEL", "--sigma", "SIGMA", "--m", "1", "--n", "1"],
+], ids=["check", "countermodel", "interpolate", "refine"])
+def test_json_output_still_writes_out(capsys, tmp_path, argv):
+    model_file = tmp_path / "m.json"
+    model_file.write_text(json.dumps({
+        "worlds": ["a", "b", "c"], "order": [[x, y] for x in "abc" for y in "abc"],
+        "valuation": {"p": ["a", "b", "c"]},
+    }))
+    (tmp_path / "sigma.txt").write_text("[]p\n")
+    argv = [{"MODEL": str(model_file), "SIGMA": str(tmp_path / "sigma.txt")}.get(a, a)
+            for a in argv]
+    written = {}
+    for fmt in ("text", "json"):
+        out_file = tmp_path / f"{fmt}.json"
+        code, out, _ = run(capsys, "--format", fmt, argv[0], "--out", str(out_file), *argv[1:])
+        assert code in (0, 1) and out_file.exists(), fmt
+        written[fmt] = out_file.read_bytes()
+    assert written["json"] == written["text"]
+    payload = json.loads(out)
+    assert json.loads(written["json"]) == payload["model"]
+
+
 def test_witness_output_is_pinned(capsys, tmp_path):
     for (logic, formula), expected in GOLDEN_CHECK.items():
         code, out, _ = run(capsys, "--format", "json", "check", "--logic", logic, formula)

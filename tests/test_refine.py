@@ -1,17 +1,22 @@
+import collections
 import pathlib
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gammalog.frame_formulas import OMEGA
+import refine_reference
+from gammalog import kripke, refine
+from gammalog.frame_formulas import OMEGA, gamma, satisfies_relative
 from gammalog.kripke import (
     PreorderModel, cluster_sizes, clusters, is_confluent, load_model, model_check,
 )
 from gammalog.refine import (
-    RefinementError, RefinementPlan, find_adequate_set, inadequacy_witness,
+    RefinementError, RefinementPlan, boxed_members, find_adequate_set, inadequacy_witness,
     is_adequate, make_plan, refine_cluster, refine_model,
 )
 from gammalog.syntax import (
-    boolean_subformula_closure, parse, pretty, sorted_formulas, subformula_closure, to_core,
+    Atom, Box, Diamond, Implies, Not, Or, And, boolean_subformula_closure, closure_letters,
+    parse, pretty, sorted_formulas, subformula_closure, to_core,
 )
 
 INPUTS = pathlib.Path(__file__).parents[1] / "perfbench" / "inputs"
@@ -173,11 +178,39 @@ def test_refine_model_raises_on_violated_preconditions():
 
 
 def test_refine_model_precondition_recheck_mode():
+    # replay the logged steps: before each one, the cluster satisfies its
+    # cluster formula relative to both sides
     m = PreorderModel(list("abc"), total("abc"), {"p": list("abc")})
-    refined = refine_model(m, SIGMA_P, SIGMA_P, 1, 1, check_preconditions=True)
+    steps = []
+    refined = refine_model(m, SIGMA_P, SIGMA_P, 1, 1, step_log=steps)
+    assert steps
+    work = m
+    for step in steps:
+        cluster = frozenset(step["cluster"])
+        chi = gamma(1, topped=not step["final"])
+        for side in (SIGMA_P, SIGMA_P):
+            assert satisfies_relative(work, cluster, chi, side)
+        plan = make_plan(work, cluster, step["kept"])
+        assert len(plan.removed_edges) == step["removed_edges"]
+        work = refine_cluster(work, plan)
+    assert work == refined
     finals, _ = cluster_sizes(refined)
     assert max(finals) == 1
 
+
+def test_refine_model_checks_the_carried_extensions_at_the_end(monkeypatch):
+    # a final 2-cluster splitting p has no adequate singleton; forcing the
+    # surgery anyway makes []p true at x, and the end check must see it
+    m = PreorderModel(["x", "y"], total("xy"), {"p": ["x"]})
+    real = refine.find_adequate_set
+
+    def forced(*args, **kwargs):
+        assert real(*args, **kwargs) is None
+        return frozenset({"x"})
+
+    monkeypatch.setattr(refine, "find_adequate_set", forced)
+    with pytest.raises(RefinementError, match=r"changed the extension of \[\]p"):
+        refine_model(m, SIGMA_P, SIGMA_P, 1, 1)
 
 def test_refine_model_termination_measure():
     # several oversized clusters: step count equals the oversized count
@@ -207,3 +240,119 @@ def test_refine_model_never_builds_the_order_view(monkeypatch):
     assert len(steps) == 36 and built == []
     finals, nonfinals = cluster_sizes(refined)
     assert max(finals + nonfinals) <= 2
+
+
+def _outcome(refine_fn, model, sigma1, sigma2, m, n):
+    steps = []
+    try:
+        refined = refine_fn(model, sigma1, sigma2, m, n, step_log=steps)
+    except RefinementError as exc:
+        return None, steps, str(exc)
+    return refined, steps, None
+
+
+def _assert_matches_reference(model, sigma1, sigma2, m, n):
+    new = _outcome(refine_model, model, sigma1, sigma2, m, n)
+    assert new == _outcome(refine_reference.refine_model, model, sigma1, sigma2, m, n)
+    return new
+
+
+_ATOMS = st.sampled_from([Atom("p"), Atom("q")])
+# diamonds and arrows are kept out of the closures' carried part; they are
+# drawn too, so that the per-step path is exercised beside the carried one
+_FORMULAS = st.recursive(
+    _ATOMS,
+    lambda sub: st.one_of(
+        sub.map(Not), sub.map(Box), sub.map(Diamond),
+        st.tuples(sub, sub).map(lambda t: And(*t)),
+        st.tuples(sub, sub).map(lambda t: Or(*t)),
+        st.tuples(sub, sub).map(lambda t: Implies(*t)),
+    ),
+    max_leaves=4,
+)
+_BOUNDS = st.sampled_from([1, 2, OMEGA])
+
+
+@st.composite
+def _refine_cases(draw):
+    # a random preorder: worlds in up to four clusters, ordered by a random
+    # relation on the cluster numbers, then closed
+    size = draw(st.integers(min_value=2, max_value=7))
+    worlds = [f"w{i}" for i in range(size)]
+    number = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    above = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))))
+    edges = [(a, b) for a, i in zip(worlds, number) for b, j in zip(worlds, number)
+             if i == j or (i, j) in above]
+    valuation = {atom: draw(st.sets(st.sampled_from(worlds))) for atom in ("p", "q")}
+    model = PreorderModel(worlds, edges, valuation, closure="auto")
+    f1, f2 = draw(_FORMULAS), draw(_FORMULAS)
+    if draw(st.booleans()):
+        sigma1, sigma2 = subformula_closure([f1]), subformula_closure([f2])
+    else:
+        f1, f2 = to_core(f1), to_core(f2)
+        for f in (f1, f2):
+            assume(len(closure_letters(subformula_closure([f]))) <= 3)
+        sigma1, sigma2 = boolean_subformula_closure([f1]), boolean_subformula_closure([f2])
+    return model, sigma1, sigma2, draw(_BOUNDS), draw(_BOUNDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_refine_cases())
+def test_refine_model_matches_the_reference(case):
+    # the carried facts and the one cluster view give the model, the steps
+    # and the error text of refining from scratch at every step
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("sigma, p_at", [
+    # the body <>p is in sigma, but a refinement need not keep a diamond
+    (subformula_closure([parse("[]<>p")]), "y"),
+    # the body []p is outside sigma
+    (frozenset({parse("[][]p")}), "x"),
+], ids=["diamond-body", "body-outside-sigma"])
+def test_refine_model_carries_only_the_closed_part_without_diamonds(sigma, p_at):
+    # a final 2-cluster: {x} is adequate, and refining to it changes the
+    # body's extension at x, so the body must not be carried
+    m = PreorderModel(["x", "y"], total("xy"), {"p": [p_at]})
+    refined, steps, error = _assert_matches_reference(m, sigma, sigma, 1, 1)
+    assert error is None and steps[0]["kept"] == ["x"]
+    body = next(f for f in sigma if isinstance(f, Box)).sub
+    assert model_check(refined, body) != model_check(m, body)
+
+
+def _bench_input(stem):
+    model = load_model(INPUTS / f"{stem}.json")
+    lines = (INPUTS / f"{stem}.sigma").read_text(encoding="utf-8").splitlines()
+    return model, subformula_closure(to_core(parse(line)) for line in lines if line.strip())
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in INPUTS.glob("*.json")))
+def test_refine_model_matches_the_reference_on_the_bench_inputs(stem):
+    model, sigma = _bench_input(stem)
+    for m, n in ((2, 2), (OMEGA, 2), (2, OMEGA)):
+        refined, steps, error = _assert_matches_reference(model, sigma, sigma, m, n)
+        assert error is None and steps
+
+
+def test_refine_model_reads_one_view_and_evaluates_sigma_at_most_twice(monkeypatch):
+    # 36 steps on the 196-world model: each boxed member of the closed sigma
+    # and its body is evaluated once while carried and once in the end check
+    model, sigma = _bench_input("s4_p_q")
+    views = []
+    real_clusters = kripke.clusters
+    monkeypatch.setattr(kripke, "clusters", lambda m: views.append(m) or real_clusters(m))
+    computed = collections.Counter()
+    real_eval = kripke._eval
+
+    def counting(layout, env, f, cache):
+        if f not in cache:
+            computed[f] += 1
+        return real_eval(layout, env, f, cache)
+
+    monkeypatch.setattr(kripke, "_eval", counting)
+    steps = []
+    refine_model(model, sigma, sigma, 2, 2, step_log=steps)
+    assert len(steps) == 36 and views == [model]
+    boxes = boxed_members(sigma)
+    assert boxes and all(computed[b] == 2 for b in boxes)
+    assert max(computed.values()) == 2
