@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from . import engine, kripke, refine, smorynski, suites
 from .engine import Budget, Interpolant, Invalid, NotValid, Valid
@@ -65,8 +65,12 @@ def _formula(text: str):
         raise _UsageError(str(exc)) from exc
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: Union[dict, Callable[[], dict]], text_lines: list[str]) -> None:
+    """Print the JSON payload or the text lines. A payload that encodes a
+    model comes as a zero-argument callable, so text output never builds it."""
     if args.format == "json":
+        if callable(payload):
+            payload = payload()
         print(json.dumps({"v": 1, **payload}, sort_keys=True), flush=True)
     else:
         for line in text_lines:
@@ -85,8 +89,8 @@ def _model_line(args, model, written: str) -> str:
     return json.dumps(kripke.model_to_dict(model), sort_keys=True)
 
 
-def _model_payload(model, world) -> dict:
-    return {"model": kripke.model_to_dict(model), "world": world}
+def _model_payload(model, world, **fields) -> Callable[[], dict]:
+    return lambda: {**fields, "model": kripke.model_to_dict(model), "world": world}
 
 
 def _check_countermodel(model, world, f) -> None:
@@ -118,7 +122,7 @@ def cmd_check(args) -> int:
             f"Invalid at world {verdict.world}",
             _model_line(args, verdict.model, "countermodel written to"),
         ]
-        _emit(args, {"verdict": "invalid", **_model_payload(verdict.model, verdict.world)}, lines)
+        _emit(args, _model_payload(verdict.model, verdict.world, verdict="invalid"), lines)
         return EXIT_NEGATIVE
     _emit(args, {"verdict": "unknown", "reason": verdict.reason}, [f"Unknown: {verdict.reason}"])
     return EXIT_UNKNOWN
@@ -141,7 +145,7 @@ def cmd_countermodel(args) -> int:
         f"countermodel with {len(model.worlds)} worlds refutes at {world}",
         _model_line(args, model, "written to"),
     ]
-    _emit(args, {"found": True, **_model_payload(model, world)}, lines)
+    _emit(args, _model_payload(model, world, found=True), lines)
     return EXIT_OK
 
 
@@ -163,7 +167,7 @@ def cmd_interpolate(args) -> int:
             f"not valid; countermodel refutes the implication at {result.world}",
             _model_line(args, result.model, "countermodel written to"),
         ]
-        _emit(args, {"verdict": "not-valid", **_model_payload(result.model, result.world)}, lines)
+        _emit(args, _model_payload(result.model, result.world, verdict="not-valid"), lines)
         return EXIT_NEGATIVE
     _emit(args, {"verdict": "unknown", "reason": result.reason}, [f"Unknown: {result.reason}"])
     return EXIT_UNKNOWN
@@ -220,7 +224,7 @@ def cmd_refine(args) -> int:
         else "nothing to refine",
         _model_line(args, refined, "refined model written to"),
     ]
-    _emit(args, {"steps": steps, "model": kripke.model_to_dict(refined)}, lines)
+    _emit(args, lambda: {"steps": steps, "model": kripke.model_to_dict(refined)}, lines)
     return EXIT_OK
 
 

@@ -943,9 +943,10 @@ def _fingerprint(f: Formula, zoo: Sequence[tuple]) -> tuple:
 def _fingerprint_zoo(names: Sequence[str]) -> list[tuple]:
     """(successor masks, valuations as copies, copy count, cache) for four
     small frames: one world, a two-chain, a two-cluster and a fork. Each
-    frame is evaluated under every valuation of the first two atoms."""
+    frame is evaluated under every valuation of the first four atoms, which
+    fit one evaluation (_SLICE_BITS) on the three-world fork."""
     frames = [(0b1,), (0b11, 0b10), (0b11, 0b11), (0b111, 0b010, 0b100)]
-    pick = sorted(names)[:2]
+    pick = sorted(names)[:4]
     return [
         (succ, dict(zip(pick, _sliced_atoms(len(pick), len(succ))[0])),
          1 << len(succ) * len(pick), {})

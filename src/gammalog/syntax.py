@@ -119,22 +119,31 @@ class Diamond(Formula):
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
-def _install_cached_hash(cls):
+def _install_cached_hash(cls, tag: int):
+    """Cache each node's hash on first use, with the class's tag folded in.
+
+    The hash that ``dataclass`` generates covers the fields only, so ~x,
+    []x and <>x would share one hash, as would the four binary connectives
+    of one pair, TRUE and FALSE, and every tower of unary connectives of one
+    depth over one atom. Every formula-keyed dict, set and cache would then
+    walk long chains of equal hashes, each step a Python-level ``__eq__``.
+    The tag is a fixed int, so equal formulas still hash equal and no hash
+    depends on object identity."""
     generated = cls.__hash__
 
-    def cached(self, _generated=generated):
+    def cached(self, _generated=generated, _tag=tag):
         d = self.__dict__
         h = d.get("_hash_cache")
         if h is None:
-            h = _generated(self)
+            h = hash((_tag, _generated(self)))
             object.__setattr__(self, "_hash_cache", h)
         return h
 
     cls.__hash__ = cached
 
 
-for _cls in (Atom, Bottom, Top, Not, And, Or, Implies, Iff, Box, Diamond):
-    _install_cached_hash(_cls)
+for _tag, _cls in enumerate((Atom, Bottom, Top, Not, And, Or, Implies, Iff, Box, Diamond)):
+    _install_cached_hash(_cls, _tag)
 
 
 FALSE = Bottom()

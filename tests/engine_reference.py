@@ -10,7 +10,7 @@ the set of all world pairs whose box signatures are included.
 ``eval_on_frame`` once per valuation, in ``itertools.product`` order,
 re-checking each hit on a validated model. ``fingerprint_reference`` is the
 interpolant fingerprint on one ``eval_on_frame`` call per frame and
-valuation of the first two atoms, over ``fingerprint_zoo_reference``.
+valuation of the first four atoms, over ``fingerprint_zoo_reference``.
 ``candidate_stream_reference`` builds each interpolant candidate wave by
 filtering every size layer built so far by node count.
 """
@@ -114,7 +114,7 @@ def frame_walk_reference(f, logic, max_worlds, want):
 
 def fingerprint_zoo_reference(names):
     frames = [(0b1,), (0b11, 0b10), (0b11, 0b11), (0b111, 0b010, 0b100)]
-    pick = sorted(names)[:2]
+    pick = sorted(names)[:4]
     return [
         (succ, dict(zip(pick, bits)), {})
         for succ in frames

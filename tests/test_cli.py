@@ -227,6 +227,31 @@ def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path):
             assert (alone.returncode, alone.stdout, alone.stderr) == result, (flags, argv)
 
 
+def test_output_does_not_depend_on_the_hash_seed(capsys, tmp_path):
+    # formulas hash by content, so set and dict order can change with
+    # PYTHONHASHSEED; what the CLI prints must not
+    (tmp_path / "p.txt").write_text("p\n")
+    (tmp_path / "q.txt").write_text("q\n")
+    inputs = pathlib.Path(__file__).parents[1] / "perfbench" / "inputs"
+    calls = [
+        ["check", "--logic", "S4", "<>[]p -> []<>p"],
+        ["interpolate", "--logic", "G(KC,2,2)", "<>[]p & <>[]q", "<>[](p & q)"],
+        ["countermodel", "--logic", "S4", "--max-worlds", "3", "<>[]p -> []<>p"],
+        ["smorynski", "--logic", "S4.2", "--sigma1", str(tmp_path / "p.txt"),
+         "--sigma2", str(tmp_path / "q.txt")],
+        ["refine", str(inputs / "s42_p_q.json"), "--sigma", str(inputs / "s42_p_q.sigma"),
+         "--m", "2", "--n", "2"],
+    ]
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(pathlib.Path(gammalog.__file__).parents[1]))
+            alone = subprocess.run([sys.executable, "-m", "gammalog.cli", *argv],
+                                   capture_output=True, env=env, check=False)
+            assert (alone.returncode, alone.stdout) == (code, out.encode()), (seed, argv)
+
+
 def test_reader_closing_stdout_early_exits_without_a_traceback(tmp_path):
     # the model's JSON line is far longer than a pipe holds, so the CLI is
     # still writing when the reader leaves after a few bytes
@@ -390,6 +415,38 @@ def test_json_output_still_writes_out(capsys, tmp_path, argv):
     assert written["json"] == written["text"]
     payload = json.loads(out)
     assert json.loads(written["json"]) == payload["model"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--logic", "S4", "<>[]p -> []<>p"],
+    ["countermodel", "--logic", "S4", "[]<>p -> <>[]p"],
+    ["interpolate", "--logic", "S4", "<>p", "p"],
+    ["refine", "MODEL", "--sigma", "SIGMA", "--m", "1", "--n", "1"],
+], ids=["check", "countermodel", "interpolate", "refine"])
+def test_each_format_encodes_the_model_once(capsys, monkeypatch, tmp_path, argv):
+    # text output prints the model as a line and JSON output in its payload;
+    # neither builds the other's encoding
+    from gammalog import kripke
+
+    model_file = tmp_path / "m.json"
+    model_file.write_text(json.dumps({
+        "worlds": ["a", "b", "c"], "order": [[x, y] for x in "abc" for y in "abc"],
+        "valuation": {"p": ["a", "b", "c"]},
+    }))
+    (tmp_path / "sigma.txt").write_text("[]p\n")
+    argv = [{"MODEL": str(model_file), "SIGMA": str(tmp_path / "sigma.txt")}.get(a, a)
+            for a in argv]
+    encoded = kripke.model_to_dict
+    calls = {}
+    for fmt in ("text", "json"):
+        count = []
+        monkeypatch.setattr(kripke, "model_to_dict",
+                            lambda model: count.append(model) or encoded(model))
+        code, _, _ = run(capsys, "--format", fmt, *argv)
+        assert code in (0, 1), fmt
+        calls[fmt] = len(count)
+    # check and countermodel also encode once for the JSON round-trip check
+    assert calls["text"] == calls["json"] == (2 if argv[0] in ("check", "countermodel") else 1)
 
 
 def test_witness_output_is_pinned(capsys, tmp_path):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gammalog import engine
 from gammalog.engine import (
     ALL_LOGICS, Budget, Interpolant, Invalid, LogicError,
     LogicId, NotValid, Satisfiable, TypeSpace, Unknown, Unsatisfiable, Valid,
@@ -228,6 +229,24 @@ def test_interpolant_gamma_axiom():
     result = find_interpolant(Top(), gamma(1, False), parse_logic("G(Int,1,2)"))
     assert isinstance(result, Interpolant)
     assert atoms(result.formula) == frozenset()
+
+
+def test_interpolant_fingerprints_four_shared_atoms(monkeypatch):
+    # p, q and u are shared: fingerprinting only p and q leaves every
+    # candidate that differs in u in one bucket, tried with `equivalent`
+    # against all others there (10,765 calls; 834 with u fingerprinted too)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return equivalent(*args)
+
+    monkeypatch.setattr(engine, "equivalent", counted)
+    result = find_interpolant(parse("[]p & <>q & u"), parse("<>(p & q) & (u | v)"),
+                              parse_logic("G(Int,2,2)"))
+    assert isinstance(result, Interpolant)
+    assert pretty(result.formula) == "u & <>(p & q)"
+    assert len(calls) < 2_000
 
 
 # --- catalog ----------------------------------------------------------------------------

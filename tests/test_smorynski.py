@@ -5,9 +5,7 @@ import pytest
 from gammalog.engine import Budget, TypeSpace, base_models, parse_logic, types_to_model
 from gammalog.kripke import is_confluent, model_check, model_to_dict, select
 from gammalog.smorynski import (
-    Inseparable, OracleUndecided, SeparableError, Separable,
-    _maximal_sets_from_types, build_smorynski_model, extend_to_maximal, is_separable,
-    truth_lemma_violations,
+    OracleUndecided, _maximal_sets_from_types, build_smorynski_model, truth_lemma_violations,
 )
 from gammalog.suites import _TRUTH_SEEDS
 from gammalog.syntax import (
@@ -15,7 +13,10 @@ from gammalog.syntax import (
     pretty, sorted_formulas,
 )
 from engine_reference import types_to_model_reference
-from smorynski_reference import maximal_sets_by_branching, maximal_sets_by_scan
+from smorynski_reference import (
+    Inseparable, SeparableError, Separable, extend_to_maximal, is_separable,
+    maximal_sets_by_branching, maximal_sets_by_scan,
+)
 
 S4 = parse_logic("S4")
 S42 = parse_logic("S4.2")
@@ -82,6 +83,15 @@ def test_extend_to_maximal_rejects_separable_input():
     closure = SignedClosure.from_seeds([p], [p])
     with pytest.raises(SeparableError):
         extend_to_maximal({p, parse("~p")}, closure, S4)
+
+
+@pytest.mark.parametrize("logic", [S4, S42], ids=["S4", "S4.2"])
+def test_smorynski_worlds_are_fixpoints_of_the_lindenbaum_extension(logic):
+    # each set read off the elimination is inseparable and already maximal
+    closure = SignedClosure.from_seeds([parse("<>p")], [parse("[]q")])
+    sm = build_smorynski_model(closure, logic)
+    for ms in sm.worlds.values():
+        assert extend_to_maximal((ms.t1, ms.t2), closure, logic) == ms
 
 
 def test_smorynski_model_truth_lemma_single_atom():

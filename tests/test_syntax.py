@@ -246,3 +246,48 @@ def test_to_core():
     assert to_core(Implies(p, q)) == Or(Not(p), q)
     assert atoms(parse("[](p -> q) | r")) == {"p", "q", "r"}
     assert node_count(p) == 1 and modal_depth(Box(Diamond(p))) == 2
+
+
+# --- hashing -------------------------------------------------------------------
+# No test pins a hash value: only which formulas hash apart, and that equal
+# formulas hash equal.
+
+@pytest.mark.parametrize("x", [p, Box(p), And(p, q)], ids=["p", "[]p", "p & q"])
+def test_unary_connectives_hash_apart(x):
+    assert len({hash(Not(x)), hash(Box(x)), hash(Diamond(x))}) == 3
+
+
+def test_binary_connectives_and_constants_hash_apart():
+    assert len({hash(ctor(p, q)) for ctor in (And, Or, Implies, Iff)}) == 4
+    assert hash(TRUE) != hash(FALSE)
+
+
+def test_small_formulas_have_distinct_hashes():
+    # the interpolant candidates of at most 6 nodes over p, q; a chance
+    # collision of 64-bit hashes among them is about 1e-13 likely
+    from gammalog.engine import size_layer
+
+    by_size = {1: [FALSE, TRUE, p, q]}
+    for size in range(2, 7):
+        by_size[size] = size_layer(by_size, size)
+    formulas = [f for layer in by_size.values() for f in layer]
+    assert len(formulas) == len(set(formulas)) == 1794
+    assert len({hash(f) for f in formulas}) == 1794
+
+
+def _rebuilt(f):
+    if isinstance(f, Atom):
+        return Atom(f.name)
+    if isinstance(f, (Bottom, Top)):
+        return type(f)()
+    if isinstance(f, (Not, Box, Diamond)):
+        return type(f)(_rebuilt(f.sub))
+    return type(f)(_rebuilt(f.left), _rebuilt(f.right))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas(8))
+def test_equal_formulas_hash_equal(f):
+    fresh = _rebuilt(f)
+    assert fresh is not f and fresh == f
+    assert hash(fresh) == hash(f) == hash(parse(pretty(f)))
