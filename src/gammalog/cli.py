@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from . import engine, kripke, refine, smorynski, suites
 from .engine import Budget, Interpolant, Invalid, NotValid, Valid
@@ -65,42 +65,38 @@ def _formula(text: str):
         raise _UsageError(str(exc)) from exc
 
 
-def _emit(args, payload: Union[dict, Callable[[], dict]], text_lines: list[str]) -> None:
-    """Print the JSON payload or the text lines. A payload that encodes a
-    model comes as a zero-argument callable, so text output never builds it."""
+def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    """Print the JSON payload or the text lines."""
     if args.format == "json":
-        if callable(payload):
-            payload = payload()
         print(json.dumps({"v": 1, **payload}, sort_keys=True), flush=True)
     else:
         for line in text_lines:
             print(line, flush=True)
 
 
-def _model_line(args, model, written: str) -> str:
-    """Write the model to --out and say so, or give it as one JSON line. The
-    line is for text output only: JSON output carries the model in its
-    payload, so there it stays empty and the model is not encoded twice."""
+def _model_line(args, encoded: dict, written: str) -> str:
+    """Write the encoded model to --out and say so, or give it as one JSON
+    line. The line is for text output only: JSON output carries the model
+    in its payload, so there it stays empty."""
     if args.out:
-        kripke.dump_model(model, args.out)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(encoded, handle, indent=2, sort_keys=True)
+            handle.write("\n")
         return f"{written} {args.out}"
     if args.format == "json":
         return ""
-    return json.dumps(kripke.model_to_dict(model), sort_keys=True)
+    return json.dumps(encoded, sort_keys=True)
 
 
-def _model_payload(model, world, **fields) -> Callable[[], dict]:
-    return lambda: {**fields, "model": kripke.model_to_dict(model), "world": world}
-
-
-def _check_countermodel(model, world, f) -> None:
-    """Reload the countermodel from its JSON form and re-check that it
-    refutes f before it is reported."""
-    reloaded = kripke.model_from_dict(kripke.model_to_dict(model))
-    if kripke.satisfies(reloaded, world, f):
+def _checked_countermodel(model, world, f) -> dict:
+    """The countermodel's JSON object, reloaded and checked again to refute
+    f at world before it is reported."""
+    encoded = kripke.model_to_dict(model)
+    if kripke.satisfies(kripke.model_from_dict(encoded), world, f):
         raise _VerificationError(
             f"countermodel failed its JSON round-trip check at world {world}"
         )
+    return encoded
 
 
 def cmd_parse(args) -> int:
@@ -117,12 +113,12 @@ def cmd_check(args) -> int:
         _emit(args, {"verdict": "valid"}, ["Valid"])
         return EXIT_OK
     if isinstance(verdict, Invalid):
-        _check_countermodel(verdict.model, verdict.world, f)
+        encoded = _checked_countermodel(verdict.model, verdict.world, f)
         lines = [
             f"Invalid at world {verdict.world}",
-            _model_line(args, verdict.model, "countermodel written to"),
+            _model_line(args, encoded, "countermodel written to"),
         ]
-        _emit(args, _model_payload(verdict.model, verdict.world, verdict="invalid"), lines)
+        _emit(args, {"verdict": "invalid", "model": encoded, "world": verdict.world}, lines)
         return EXIT_NEGATIVE
     _emit(args, {"verdict": "unknown", "reason": verdict.reason}, [f"Unknown: {verdict.reason}"])
     return EXIT_UNKNOWN
@@ -140,12 +136,12 @@ def cmd_countermodel(args) -> int:
               [f"no countermodel with at most {bound} worlds"])
         return EXIT_NEGATIVE
     model, world = found
-    _check_countermodel(model, world, f)
+    encoded = _checked_countermodel(model, world, f)
     lines = [
         f"countermodel with {len(model.worlds)} worlds refutes at {world}",
-        _model_line(args, model, "written to"),
+        _model_line(args, encoded, "written to"),
     ]
-    _emit(args, _model_payload(model, world, found=True), lines)
+    _emit(args, {"found": True, "model": encoded, "world": world}, lines)
     return EXIT_OK
 
 
@@ -163,11 +159,12 @@ def cmd_interpolate(args) -> int:
         _emit(args, {"interpolant": pretty(chi)}, lines)
         return EXIT_OK
     if isinstance(result, NotValid):
+        encoded = kripke.model_to_dict(result.model)
         lines = [
             f"not valid; countermodel refutes the implication at {result.world}",
-            _model_line(args, result.model, "countermodel written to"),
+            _model_line(args, encoded, "countermodel written to"),
         ]
-        _emit(args, _model_payload(result.model, result.world, verdict="not-valid"), lines)
+        _emit(args, {"verdict": "not-valid", "model": encoded, "world": result.world}, lines)
         return EXIT_NEGATIVE
     _emit(args, {"verdict": "unknown", "reason": result.reason}, [f"Unknown: {result.reason}"])
     return EXIT_UNKNOWN
@@ -214,6 +211,7 @@ def cmd_refine(args) -> int:
     except refine.RefinementError as exc:
         _emit(args, {"error": str(exc)}, [f"refinement failed: {exc}"])
         return EXIT_UNKNOWN
+    encoded = kripke.model_to_dict(refined)
     lines = [
         f"refined {len(steps)} cluster(s): "
         + "; ".join(
@@ -222,9 +220,9 @@ def cmd_refine(args) -> int:
         )
         if steps
         else "nothing to refine",
-        _model_line(args, refined, "refined model written to"),
+        _model_line(args, encoded, "refined model written to"),
     ]
-    _emit(args, lambda: {"steps": steps, "model": kripke.model_to_dict(refined)}, lines)
+    _emit(args, {"steps": steps, "model": encoded}, lines)
     return EXIT_OK
 
 
@@ -238,15 +236,10 @@ def cmd_smorynski(args) -> int:
     except (smorynski.OracleUndecided, engine.BudgetExceeded) as exc:
         _emit(args, {"error": str(exc)}, [f"construction aborted: {exc}"])
         return EXIT_UNKNOWN
-    payload = sm.to_json_dict()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        lines = [f"{len(sm.model.worlds)} worlds written to {args.out}"]
-    else:  # JSON output carries the model in its payload, so only text needs the line
-        lines = [json.dumps(payload, sort_keys=True)] if args.format == "text" else []
-    _emit(args, {"worlds": len(sm.model.worlds), "model": payload}, lines)
+    encoded = sm.to_json_dict()
+    worlds = len(sm.model.worlds)
+    lines = [_model_line(args, encoded, f"{worlds} worlds written to")]
+    _emit(args, {"worlds": worlds, "model": encoded}, lines)
     return EXIT_OK
 
 

@@ -31,6 +31,12 @@ method that is sound for the whole frame class:
    core with no frame (``kripke.eval_propositional``), over all letter
    assignments at once, box letters as leaves.
 
+Frame properties read successor masks: ``in_frame_class`` takes a model's
+``masks``, and a cluster is the worlds of one row, final when the row's
+popcount equals its size. The frame tables (``canonical_frames`` and the
+class tables the enumeration walks) hold successor masks too, so asking
+whether a frame is in the class builds no model.
+
 Anything undecided within budget is reported as Unknown, never guessed.
 """
 
@@ -258,15 +264,16 @@ class NotValid:
 # Frame class membership
 # ---------------------------------------------------------------------------
 
-def in_frame_class(model: PreorderModel, logic: LogicId) -> bool:
-    finals, nonfinals = kripke.cluster_sizes(model)
-    if any(size > logic.m for size in finals):
-        return False
-    if any(size > logic.n for size in nonfinals):
-        return False
-    if logic.confluent and not is_confluent(model):
-        return False
-    return True
+def in_frame_class(succ: Sequence[int], logic: LogicId) -> bool:
+    """Whether the preorder with successor masks ``succ`` is a frame of the
+    logic: final clusters of at most m worlds, non-final ones of at most n,
+    and confluence for KC. A model's masks are ``model.masks``."""
+    finals, nonfinals = kripke.cluster_sizes(succ)
+    return (
+        all(size <= logic.m for size in finals)
+        and all(size <= logic.n for size in nonfinals)
+        and (not logic.confluent or is_confluent(succ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +531,9 @@ def labeled_preorders(k: int) -> Iterator[frozenset[tuple[int, int]]]:
 
 
 @lru_cache(maxsize=8)
-def canonical_frames(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
-    """Preorders on range(k), one representative per isomorphism class,
-    in canonical adjacency-encoding order.
+def canonical_frames(k: int) -> tuple[tuple[int, ...], ...]:
+    """Preorders on range(k) as successor masks, one representative per
+    isomorphism class, in canonical adjacency-encoding order.
 
     Pair (a, b) is bit K-1-(a*k+b) of a relation's code (K = k*k): row a
     of the successor masks is a k-bit field, row 0 most significant, point
@@ -545,31 +552,33 @@ def canonical_frames(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
         tables.append([[bits << k * (k - 1 - p[a]) for bits in field] for a in range(k)])
     pick = list.__getitem__
     seen: set[int] = set()
-    out = []
+    codes = []
     for succ in _preorders(k):
         if sum(map(pick, tables[0], succ)) not in seen:
             images = [sum(map(pick, table, succ)) for table in tables]
             seen.update(images)
-            least = max(images)
-            out.append(frozenset(
-                (a, b) for a in range(k) for b in range(k) if least >> k * k - 1 - a * k - b & 1
-            ))
-    out.sort(key=sorted)
-    return tuple(out)
+            codes.append(max(images))
+    # Codes in descending order are sorted pair lists in ascending order. A
+    # lesser pair has a more significant bit, so for codes A > B the least
+    # pair d in exactly one of them is in A, and the two lists share every
+    # pair below d. Both hold (k-1, k-1), the greatest pair, as every
+    # reflexive relation does, so d is not it, and B's list goes on past
+    # the shared pairs with a pair above d. A's list has d there, so it
+    # sorts first.
+    codes.sort(reverse=True)
+    # reverse[bits]: the row mask of a k-bit field, point b at bit b
+    reverse = [int(f"{bits:0{k}b}"[::-1], 2) for bits in range(1 << k)]
+    full = (1 << k) - 1
+    return tuple(
+        tuple(reverse[code >> k * (k - 1 - a) & full] for a in range(k)) for code in codes
+    )
 
 
 @lru_cache(maxsize=128)
 def _class_frames(k: int, lam: str, m: Bound, n: Bound) -> tuple[tuple[int, ...], ...]:
-    """Successor-mask vectors of the canonical k-world frames in the class."""
+    """The canonical k-world frames in the class, as successor masks."""
     logic = LogicId(lam, m, n)
-    out = []
-    for rel in canonical_frames(k):
-        succ = [0] * k
-        for a, b in rel:
-            succ[a] |= 1 << b
-        if in_frame_class(model_from_masks(succ, {}), logic):
-            out.append(tuple(succ))
-    return tuple(out)
+    return tuple(succ for succ in canonical_frames(k) if in_frame_class(succ, logic))
 
 
 # One evaluation holds at most 2^_SLICE_BITS valuations, one copy each.
@@ -633,7 +642,7 @@ def _frame_walk(
                     # it again there, together with class membership
                     model = model_from_masks(succ, dict(zip(names, bits + tuple(trail_bits))))
                     holds = kripke.satisfies(model, f"w{w}", f)
-                    if holds == (want == "satisfy") and in_frame_class(model, logic):
+                    if holds == (want == "satisfy") and in_frame_class(model.masks, logic):
                         return model, f"w{w}"
     return None
 
@@ -761,10 +770,10 @@ def _frame_formula_sat(f: Formula, logic: LogicId):
     if match is None:
         return None
     frame, names = match
-    if not in_frame_class(frame.as_model(), logic):
-        return UNSAT
     model = frame.as_model({name: [f"g{i}"] for i, name in enumerate(names)})
-    if kripke.satisfies(model, "g0", f) and in_frame_class(model, logic):
+    if not in_frame_class(model.masks, logic):
+        return UNSAT
+    if kripke.satisfies(model, "g0", f):
         return Satisfiable(model, "g0")
     return None
 
@@ -822,7 +831,7 @@ def _sat_uncached(f: Formula, logic: LogicId, budget: Budget):
     if base_witness is not None:
         model, world = base_witness
         if logic.unbounded:
-            if kripke.satisfies(model, world, f) and in_frame_class(model, logic):
+            if kripke.satisfies(model, world, f) and in_frame_class(model.masks, logic):
                 return Satisfiable(model, world)
         else:
             refined = _try_refine_to_class(model, world, f, logic)
@@ -853,7 +862,7 @@ def _try_refine_to_class(
         refined = refine_model(model, sigma, sigma, logic.m, logic.n)
     except RefinementError:
         return None
-    if kripke.satisfies(refined, world, f) and in_frame_class(refined, logic):
+    if kripke.satisfies(refined, world, f) and in_frame_class(refined.masks, logic):
         return Satisfiable(refined, world)
     return None
 

@@ -52,10 +52,6 @@ class RootedFrame:
         order = {(f"g{a}", f"g{b}") for a, b in self.rel}
         return kripke.PreorderModel(worlds, order, valuation or {})
 
-    def natural_model(self) -> kripke.PreorderModel:
-        """The model on this frame where pi is true exactly at point i."""
-        return self.as_model({f"p{i}": [f"g{i}"] for i in range(self.size)})
-
 
 def cluster_frame(n: int, topped: bool) -> RootedFrame:
     """The n-cluster C_n, or C_n^T with one reflexive point n on top."""
@@ -180,18 +176,6 @@ def relative_satisfaction_witness(
         if need & ~holds:
             return tuple(first[ext] for ext in exts)
     return None
-
-
-def satisfies_relative(
-    model: kripke.PreorderModel,
-    cluster: frozenset[str],
-    chi: Formula,
-    sigma: Iterable[Formula],
-    max_tuples: int = 1 << 20,
-) -> bool:
-    """True iff the cluster lies inside [[chi[args]]] for every argument
-    tuple drawn from sigma."""
-    return relative_satisfaction_witness(model, cluster, chi, sigma, max_tuples) is None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ valuation of a frame in a copy of its own. ``eval_propositional`` runs the
 core with no frame, on letters for atoms and boxed formulas: the type
 spaces of ``engine`` evaluate their closures so and read their witnesses
 off the survivor mask.
+Frame properties (cluster sizes, confluence, and through them
+``engine.in_frame_class``) read successor masks too: a cluster is the
+worlds of one row, final when the row's popcount equals its size.
+``clusters`` builds the named ``ClusterView`` for callers that need it.
 Unknown atoms evaluate to the empty set (logged once per model) because
 the closure machinery routinely checks formulas over partially valued
 models.
@@ -31,6 +35,7 @@ import itertools
 import json
 import logging
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -433,11 +438,16 @@ def clusters(model: PreorderModel) -> ClusterView:
     return ClusterView(tuple(map(frozenset, members.values())), leq, final, cluster_of)
 
 
-def cluster_sizes(model: PreorderModel) -> tuple[list[int], list[int]]:
-    """(final cluster sizes, non-final cluster sizes)."""
-    view = clusters(model)
-    finals = [len(c) for c, fin in zip(view.clusters, view.final) if fin]
-    nonfinals = [len(c) for c, fin in zip(view.clusters, view.final) if not fin]
+def cluster_sizes(succ: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(final cluster sizes, non-final cluster sizes) of the preorder with
+    successor masks ``succ``, clusters in order of their least world.
+
+    The worlds of one row form a cluster. Its row holds the cluster and
+    every cluster above it, so the cluster is final exactly when the row's
+    popcount equals its size."""
+    finals, nonfinals = [], []
+    for row, size in Counter(succ).items():
+        (finals if row.bit_count() == size else nonfinals).append(size)
     return finals, nonfinals
 
 
@@ -460,13 +470,12 @@ def generated_submodel(model: PreorderModel, world: str) -> PreorderModel:
     return sub
 
 
-def is_confluent(model: PreorderModel) -> bool:
-    """True iff any two successors of a common world share a successor."""
-    for mask in model._masks:
-        for a, b in itertools.combinations(select(model._masks, mask), 2):
-            if not a & b:
-                return False
-    return True
+def is_confluent(succ: Sequence[int]) -> bool:
+    """True iff any two successors of a common world share a successor, in
+    the preorder with successor masks ``succ``."""
+    return all(
+        a & b for row in set(succ) for a, b in itertools.combinations(set(select(succ, row)), 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +497,14 @@ def _frame_shape(size, rel) -> tuple[int, frozenset[tuple[int, int]]]:
     rel = frozenset((int(a), int(b)) for a, b in rel)
     if size <= 0:
         raise ModelError("target frame must be nonempty")
+    masks = [0] * size
     for a, b in rel:
         if not (0 <= a < size and 0 <= b < size):
             raise ModelError(f"target relation pair ({a},{b}) out of range")
-    for i in range(size):
-        if (i, i) not in rel:
-            raise ModelError(f"target frame not reflexive at {i}")
-    for a, b in rel:
-        for c in range(size):
-            if (b, c) in rel and (a, c) not in rel:
-                raise ModelError("target frame not transitive")
-    for i in range(size):
-        if (0, i) not in rel:
-            raise ModelError("target frame is not rooted at 0")
+        masks[a] |= 1 << b
+    _check_preorder(range(size), masks, range(size))
+    if masks[0] != (1 << size) - 1:
+        raise ModelError("target frame is not rooted at 0")
     return size, rel
 
 

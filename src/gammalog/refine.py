@@ -76,16 +76,6 @@ def boxed_members(sigma: Iterable[Formula]) -> tuple[Formula, ...]:
     return tuple(sorted_formulas(f for f in sigma if isinstance(f, Box)))
 
 
-def is_adequate(
-    model: PreorderModel,
-    cluster: frozenset[str],
-    subset: Iterable[str],
-    sigma: Iterable[Formula],
-) -> bool:
-    """Adequacy of a singleton/doubleton subset per the boxed members of sigma."""
-    return inadequacy_witness(model, cluster, subset, sigma) is None
-
-
 def inadequacy_witness(
     model: PreorderModel,
     cluster: frozenset[str],

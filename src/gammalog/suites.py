@@ -58,12 +58,9 @@ def _frame_models(
     """(successor masks, atom environment) for every canonical frame of at
     most max_worlds worlds and every valuation of the given atoms."""
     for k in range(1, max_worlds + 1):
-        for rel in engine.canonical_frames(k):
-            succ = [0] * k
-            for a, b in rel:
-                succ[a] |= 1 << b
+        for succ in engine.canonical_frames(k):
             for bits in itertools.product(range(1 << k), repeat=len(names)):
-                yield tuple(succ), dict(zip(names, bits))
+                yield succ, dict(zip(names, bits))
 
 
 def _spec_p_morphism_bits(
@@ -247,7 +244,7 @@ def suite_confluence(scale: float = 1.0) -> tuple[bool, str]:
     for left, right in seeds:
         closure = SignedClosure.from_seeds([parse(left)], [parse(right)])
         sm = smorynski.build_smorynski_model(closure, S42, _SMORYNSKI_BUDGET)
-        if not is_confluent(sm.model):
+        if not is_confluent(sm.model.masks):
             failures.append((left, right, "not confluent"))
         if smorynski.truth_lemma_violations(sm):
             failures.append((left, right, "truth lemma"))
@@ -365,12 +362,12 @@ def _refinement_problems(model, refined, before, m, n) -> list[str]:
         if model_check(refined, f) != ext:
             problems.append(f"extension changed: {pretty(f)}")
             break
-    finals, nonfinals = kripke.cluster_sizes(refined)
+    finals, nonfinals = kripke.cluster_sizes(refined.masks)
     if m != OMEGA and any(s > m for s in finals):
         problems.append("final cluster bound violated")
     if n != OMEGA and any(s > n for s in nonfinals):
         problems.append("non-final cluster bound violated")
-    if is_confluent(model) and not is_confluent(refined):
+    if is_confluent(model.masks) and not is_confluent(refined.masks):
         problems.append("confluence lost")
     if not refined.order <= model.order:
         problems.append("edges added")
@@ -532,7 +529,7 @@ def suite_interpolation(scale: float = 1.0) -> tuple[bool, str]:
                 continue
             if kripke.satisfies(result.model, result.world, Implies(f1, f2)):
                 failures.append((str(logic), "countermodel does not refute"))
-            if not in_frame_class(result.model, logic):
+            if not in_frame_class(result.model.masks, logic):
                 failures.append((str(logic), "countermodel outside frame class"))
         if len(failures) > 5:
             break
@@ -648,7 +645,7 @@ def suite_axioms(scale: float = 1.0) -> tuple[bool, str]:
         else:
             if not isinstance(point2, Invalid):
                 problems.append((str(logic), ".2 should be invalid", point2))
-            elif not in_frame_class(point2.model, logic):
+            elif not in_frame_class(point2.model.masks, logic):
                 problems.append((str(logic), ".2 countermodel outside class"))
     elapsed = time.monotonic() - start
     ok = not problems

@@ -710,9 +710,6 @@ class SignedClosure:
             return self.sigma2
         raise FormulaError(f"side must be 1 or 2, got {i}")
 
-    def shared_atoms(self) -> frozenset[str]:
-        return frozenset(a.name for a in self.sigma1 & self.sigma2 if isinstance(a, Atom))
-
     def validate(self) -> None:
         for sigma in (self.sigma1, self.sigma2):
             if subformula_closure(sigma) != sigma:

@@ -6,11 +6,14 @@ sets of pairs that ``engine`` built before it ran it on successor masks.
 representative as the least of all permutation images of every labelled
 preorder. ``types_to_model_reference`` builds the type-space model from
 the set of all world pairs whose box signatures are included.
+``in_frame_class_reference`` tests class membership on a model's
+``ClusterView``, as ``engine`` did before it read successor masks.
 ``frame_walk_reference`` scans the class frames in that order and runs
 ``eval_on_frame`` once per valuation, in ``itertools.product`` order,
-re-checking each hit on a validated model. ``fingerprint_reference`` is the
-interpolant fingerprint on one ``eval_on_frame`` call per frame and
-valuation of the first four atoms, over ``fingerprint_zoo_reference``.
+re-checking each hit on a validated model with that reference class test.
+``fingerprint_reference`` is the interpolant fingerprint on one
+``eval_on_frame`` call per frame and valuation of the first four atoms,
+over ``fingerprint_zoo_reference``.
 ``candidate_stream_reference`` builds each interpolant candidate wave by
 filtering every size layer built so far by node count.
 """
@@ -19,9 +22,10 @@ import itertools
 from functools import lru_cache
 
 from gammalog import kripke
-from gammalog.engine import in_frame_class, labeled_preorders, size_layer
+from gammalog.engine import labeled_preorders, size_layer
 from gammalog.kripke import PreorderModel, eval_on_frame, model_from_masks
 from gammalog.syntax import FALSE, TRUE, Atom, Box, atoms, node_count, sort_key
+from kripke_reference import cluster_sizes_reference, is_confluent_reference
 
 
 def _subsets(items):
@@ -82,6 +86,17 @@ def canonical_frames_reference(k):
     return tuple(out)
 
 
+def in_frame_class_reference(model, logic):
+    finals, nonfinals = cluster_sizes_reference(model)
+    if any(size > logic.m for size in finals):
+        return False
+    if any(size > logic.n for size in nonfinals):
+        return False
+    if logic.confluent and not is_confluent_reference(model):
+        return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def class_frames_reference(k, logic):
     out = []
@@ -89,7 +104,7 @@ def class_frames_reference(k, logic):
         succ = [0] * k
         for a, b in rel:
             succ[a] |= 1 << b
-        if in_frame_class(model_from_masks(succ, {}), logic):
+        if in_frame_class_reference(model_from_masks(succ, {}), logic):
             out.append(tuple(succ))
     return tuple(out)
 
@@ -107,7 +122,7 @@ def frame_walk_reference(f, logic, max_worlds, want):
                     world = f"w{(target & -target).bit_length() - 1}"
                     model = model_from_masks(succ, env)
                     holds = kripke.satisfies(model, world, f)
-                    if holds == (want == "satisfy") and in_frame_class(model, logic):
+                    if holds == (want == "satisfy") and in_frame_class_reference(model, logic):
                         return model, world
     return None
 

@@ -8,10 +8,16 @@ read only a model's public interface (``worlds``, ``valuation``,
 ``successors``, ``leq``). ``reflexive_transitive_closure`` closes a
 relation on sets of world ids by iterating to a fixed point, and
 ``preorder_defect_reference`` names the first defect that strict
-validation reports, from the pairs alone.
+validation reports, from the pairs alone. ``cluster_sizes_reference``
+reads the sizes off a model's ``ClusterView``, and ``is_confluent_reference``
+tests confluence on successor sets, as ``kripke`` did before both read
+successor masks. ``frame_shape_reference`` is the decision that
+``kripke.frame_shape`` makes on a target frame, checked on its pairs.
 """
 
-from gammalog.kripke import ClusterView
+import itertools
+
+from gammalog.kripke import ClusterView, clusters
 from gammalog.syntax import And, Atom, Bottom, Box, Diamond, Iff, Implies, Not, Or, Top
 
 
@@ -109,3 +115,34 @@ def clusters_reference(model) -> ClusterView:
     )
     cluster_of = {w: i for i, c in enumerate(ordered) for w in c}
     return ClusterView(tuple(ordered), frozenset(leq), final, cluster_of)
+
+
+def cluster_sizes_reference(model):
+    """(final cluster sizes, non-final cluster sizes)."""
+    view = clusters(model)
+    finals = [len(c) for c, fin in zip(view.clusters, view.final) if fin]
+    nonfinals = [len(c) for c, fin in zip(view.clusters, view.final) if not fin]
+    return finals, nonfinals
+
+
+def is_confluent_reference(model):
+    """True iff any two successors of a common world share a successor."""
+    return all(
+        model.successors(a) & model.successors(b)
+        for w in model.worlds
+        for a, b in itertools.combinations(sorted(model.successors(w)), 2)
+    )
+
+
+def frame_shape_reference(size, rel):
+    """"ok" for a rooted preorder on range(size), "not rooted" for a preorder
+    that is not rooted at 0, and "rejected" for anything else."""
+    if size <= 0 or any(not (0 <= a < size and 0 <= b < size) for a, b in rel):
+        return "rejected"
+    if any((i, i) not in rel for i in range(size)):
+        return "rejected"
+    if any((b, c) in rel and (a, c) not in rel for a, b in rel for c in range(size)):
+        return "rejected"
+    if any((0, i) not in rel for i in range(size)):
+        return "not rooted"
+    return "ok"

@@ -396,7 +396,8 @@ def test_refine_output_is_pinned(capsys):
     ["countermodel", "--logic", "S4", "[]<>p -> <>[]p"],
     ["interpolate", "--logic", "S4", "<>p", "p"],
     ["refine", "MODEL", "--sigma", "SIGMA", "--m", "1", "--n", "1"],
-], ids=["check", "countermodel", "interpolate", "refine"])
+    ["smorynski", "--logic", "S4", "--sigma1", "SIGMA"],
+], ids=["check", "countermodel", "interpolate", "refine", "smorynski"])
 def test_json_output_still_writes_out(capsys, tmp_path, argv):
     model_file = tmp_path / "m.json"
     model_file.write_text(json.dumps({
@@ -425,7 +426,7 @@ def test_json_output_still_writes_out(capsys, tmp_path, argv):
 ], ids=["check", "countermodel", "interpolate", "refine"])
 def test_each_format_encodes_the_model_once(capsys, monkeypatch, tmp_path, argv):
     # text output prints the model as a line and JSON output in its payload;
-    # neither builds the other's encoding
+    # check and countermodel reload the same encoding for their round-trip check
     from gammalog import kripke
 
     model_file = tmp_path / "m.json"
@@ -445,8 +446,7 @@ def test_each_format_encodes_the_model_once(capsys, monkeypatch, tmp_path, argv)
         code, _, _ = run(capsys, "--format", fmt, *argv)
         assert code in (0, 1), fmt
         calls[fmt] = len(count)
-    # check and countermodel also encode once for the JSON round-trip check
-    assert calls["text"] == calls["json"] == (2 if argv[0] in ("check", "countermodel") else 1)
+    assert calls["text"] == calls["json"] == 1
 
 
 def test_witness_output_is_pinned(capsys, tmp_path):
@@ -461,6 +461,44 @@ def test_witness_output_is_pinned(capsys, tmp_path):
                        "--sigma2", str(tmp_path / "q.txt"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SMORYNSKI_S42_P_Q_SHA256
+
+
+# Inputs whose first countermodel in the frame-table order is pinned: hits
+# at 1 to 5 worlds in S4, S4.2, Grz, G(KC,2,1), G(Int,w,2) and G(KC,2,2),
+# and one full scan of G(Int,w,2) up to 5 worlds that finds nothing.
+COUNTERMODEL_PIN_CASES = [
+    ("S4", "p -> q"),
+    ("S4", "[]<>p -> <>[]p"),
+    ("S4", "[]([]p -> q) | []([]q -> p)"),
+    ("S4.2", "<>p -> []p"),
+    ("S4.2", "~(p & ~q & <>(~p & q & <>(p & q & <>(~p & ~q))))"),
+    ("Grz", "~(p & <>(~p & <>(p & <>~p)))"),
+    ("Grz", "~(p & <>(~p & <>(p & <>(~p & <>p))))"),
+    ("G(KC,2,1)", "~(p0 & [](p0 | p1) & [](p0 -> ~p1) & [](p1 -> ~p0) & [](p0 -> <>p0)"
+                  " & [](p0 -> <>p1) & [](p1 -> <>p0) & [](p1 -> <>p1))"),
+    ("G(Int,w,2)", "<>p -> []<>p"),
+    ("G(Int,w,2)", "~(p & ~q & <>(~p & q & <>(p & q)))"),
+    ("G(Int,w,2)", "[]p -> [][]p"),
+    ("G(KC,2,2)", "<>p -> []<>p"),
+    ("G(KC,2,2)", "~(p & ~q & <>(~p & q & <>(p & q & <>(~p & ~q))))"),
+    ("G(KC,2,2)", "~(p & ~q & ~r & <>(~p & q & ~r & <>(~p & ~q & r & <>(p & q & ~r"
+                  " & <>(p & ~q & r)))))"),
+]
+# sha256 over the exit code and JSON stdout of each case in turn
+GOLDEN_COUNTERMODEL_SHA256 = "3f4b04c6502505f955db74eaf058952ee2a2cc237508bdcecd3e688dd35fe970"
+
+
+def test_countermodel_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    worlds = set()
+    for logic, formula in COUNTERMODEL_PIN_CASES:
+        code, out, _ = run(capsys, "--format", "json", "countermodel", "--logic", logic,
+                           "--max-worlds", "5", formula)
+        digest.update(f"{code}\n{out}".encode())
+        payload = json.loads(out)
+        worlds.add(len(payload["model"]["worlds"]) if payload["found"] else None)
+    assert worlds == {1, 2, 3, 4, 5, None}
+    assert digest.hexdigest() == GOLDEN_COUNTERMODEL_SHA256
 
 
 @pytest.mark.parametrize("command", ["check", "countermodel"])

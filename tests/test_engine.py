@@ -70,7 +70,7 @@ def test_sat_fork_split_boxes():
     result = sat(parse("<>[]p & <>[]~p"), S4)
     assert isinstance(result, Satisfiable)
     assert satisfies(result.model, result.world, parse("<>[]p & <>[]~p"))
-    assert in_frame_class(result.model, S4)
+    assert in_frame_class(result.model.masks, S4)
 
 
 def test_sat_fork_split_boxes_confluent_unsat():
@@ -85,7 +85,7 @@ def test_sat_respects_cluster_bounds():
     two_cluster = parse("p & <>(~p & <>p) & [](p -> <>~p) & [](~p -> <>p)")
     rich = sat(two_cluster, parse_logic("G(Int,2,2)"))
     assert isinstance(rich, Satisfiable)
-    assert in_frame_class(rich.model, parse_logic("G(Int,2,2)"))
+    assert in_frame_class(rich.model.masks, parse_logic("G(Int,2,2)"))
 
 
 def test_sat_verified_witnesses_in_class():
@@ -93,7 +93,7 @@ def test_sat_verified_witnesses_in_class():
         result = sat(parse("p & <>q"), logic)
         assert isinstance(result, Satisfiable), str(logic)
         assert satisfies(result.model, result.world, parse("p & <>q"))
-        assert in_frame_class(result.model, logic)
+        assert in_frame_class(result.model.masks, logic)
 
 
 def test_sat_unknown_on_tiny_budget():
@@ -136,7 +136,7 @@ def test_valid_fork_countermodel():
     verdict = valid(parse("<>[]p -> []<>p"), S4)
     assert isinstance(verdict, Invalid)
     assert not satisfies(verdict.model, verdict.world, parse("<>[]p -> []<>p"))
-    assert in_frame_class(verdict.model, S4)
+    assert in_frame_class(verdict.model.masks, S4)
 
 
 def test_valid_gamma_axiom_in_its_logic():
@@ -147,7 +147,7 @@ def test_valid_gamma_axiom_in_its_logic():
 def test_valid_gamma_fails_in_weaker_logic():
     verdict = valid(gamma(1, False), parse_logic("G(Int,2,2)"))
     assert isinstance(verdict, Invalid)
-    assert in_frame_class(verdict.model, parse_logic("G(Int,2,2)"))
+    assert in_frame_class(verdict.model.masks, parse_logic("G(Int,2,2)"))
     assert isinstance(valid(gamma(1, True), parse_logic("G(Int,1,w)")), Invalid)
 
 
@@ -183,7 +183,7 @@ def test_countermodel_search_class_restriction():
     assert countermodel_search(parse("<>[]p -> []<>p"), S42, 4) is None
     found = countermodel_search(parse("<>[]p -> []<>p"), parse_logic("G(Int,1,1)"), 3)
     assert found is not None
-    assert in_frame_class(found[0], parse_logic("G(Int,1,1)"))
+    assert in_frame_class(found[0].masks, parse_logic("G(Int,1,1)"))
 
 
 # --- equivalence ---------------------------------------------------------------------

@@ -18,15 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 from gammalog import engine, kripke
 from gammalog.engine import (
-    BudgetExceeded, _Deadline, canonical_frames, countermodel_search, labeled_preorders,
-    parse_logic,
+    ALL_LOGICS, BudgetExceeded, _Deadline, canonical_frames, countermodel_search,
+    in_frame_class, labeled_preorders, parse_logic,
 )
-from gammalog.kripke import eval_on_frame
+from gammalog.kripke import PreorderModel, cluster_sizes, eval_on_frame, is_confluent
 from gammalog.syntax import And, Atom, Box, Diamond, Iff, Implies, Not, Or, FALSE, TRUE, parse
 from engine_reference import (
     canonical_frames_reference, fingerprint_reference, fingerprint_zoo_reference,
-    frame_walk_reference, labeled_posets_reference,
+    frame_walk_reference, in_frame_class_reference, labeled_posets_reference,
 )
+from kripke_reference import cluster_sizes_reference, is_confluent_reference
 
 LOGICS = [parse_logic(name) for name in ("S4", "S4.2", "Grz", "G(Int,1,2)", "G(KC,2,1)")]
 ATOMS = ["p", "q", "r", "s"]
@@ -155,10 +156,7 @@ def test_satisfy_walk_stops_at_the_deadline(n_atoms):
     )
 )
 def test_sliced_evaluator_matches_eval_on_frame_at_each_valuation(case):
-    (k, rel, n_atoms), f, v = case
-    succ = [0] * k
-    for a, b in rel:
-        succ[a] |= 1 << b
+    (k, succ, n_atoms), f, v = case
     names = ATOMS[:n_atoms]
     # atom t is not valued and holds nowhere
     columns, _ = engine._sliced_atoms(n_atoms, k)
@@ -201,10 +199,50 @@ def test_copies_evaluate_like_one_copy_at_a_time(case, f):
     assert packed & ~worlds == 0
 
 
+def _pairs(succ):
+    return frozenset((a, b) for a, row in enumerate(succ) for b in range(len(succ)) if row >> b & 1)
+
+
 def test_canonical_frames_match_the_reference():
+    # the table holds successor masks; the reference holds pair sets
     for k in range(1, 6):
-        assert canonical_frames(k) == canonical_frames_reference(k)
+        assert tuple(map(_pairs, canonical_frames(k))) == canonical_frames_reference(k)
     assert len(canonical_frames(5)) == 139
+
+
+def test_frame_properties_on_masks_match_the_cluster_view_reference():
+    # every preorder of at most 4 worlds and every canonical 5-world frame,
+    # in all 18 logics
+    frames = [rel for k in range(1, 5) for rel in labeled_preorders(k)]
+    frames += canonical_frames_reference(5)
+    cases = 0
+    for rel in frames:
+        k = 1 + max(a for a, _ in rel)
+        worlds = [f"w{i}" for i in range(k)]
+        model = PreorderModel(worlds, {(worlds[a], worlds[b]) for a, b in rel}, {})
+        assert cluster_sizes(model.masks) == cluster_sizes_reference(model), rel
+        assert is_confluent(model.masks) == is_confluent_reference(model), rel
+        for logic in ALL_LOGICS:
+            assert in_frame_class(model.masks, logic) == in_frame_class_reference(model, logic)
+            cases += 1
+    assert cases == 9504
+
+
+def test_class_tables_build_no_model_and_no_cluster_view(monkeypatch):
+    built = []
+    from_masks, view = PreorderModel.from_masks.__func__, kripke.clusters
+    monkeypatch.setattr(PreorderModel, "from_masks",
+                        classmethod(lambda cls, *args, **kw: built.append(args)
+                                    or from_masks(cls, *args, **kw)))
+    monkeypatch.setattr(kripke, "clusters", lambda model: built.append(model) or view(model))
+    engine._class_frames.cache_clear()
+    try:
+        for k in range(1, 6):
+            for logic in ALL_LOGICS:
+                engine._class_frames(k, logic.lam, logic.m, logic.n)
+    finally:
+        engine._class_frames.cache_clear()
+    assert built == []
 
 
 def test_labeled_posets_on_masks_match_the_pair_set_build():

@@ -18,8 +18,8 @@ from gammalog.kripke import (
 )
 from gammalog.syntax import Atom, Box, parse
 from kripke_reference import (
-    clusters_reference, model_check_reference, preorder_defect_reference,
-    reflexive_transitive_closure,
+    clusters_reference, frame_shape_reference, model_check_reference,
+    preorder_defect_reference, reflexive_transitive_closure,
 )
 
 
@@ -305,7 +305,7 @@ def test_clusters_topped_two_cluster():
     finals = [len(c) for c, fin in zip(view.clusters, view.final) if fin]
     nonfinals = [len(c) for c, fin in zip(view.clusters, view.final) if not fin]
     assert finals == [1] and nonfinals == [2]
-    assert cluster_sizes(m) == ([1], [2])
+    assert cluster_sizes(m.masks) == ([1], [2])
 
 
 def test_generated_submodel():
@@ -327,15 +327,15 @@ def test_generated_submodel():
 
 def test_is_confluent():
     single = PreorderModel(["a", "b"], total("ab"), {})
-    assert is_confluent(single)
+    assert is_confluent(single.masks)
     fork = PreorderModel(["r", "a", "b"], [("r", "a"), ("r", "b")], {}, closure="auto")
-    assert not is_confluent(fork)
-    assert is_confluent(cluster_frame(2, True).as_model())
+    assert not is_confluent(fork.masks)
+    assert is_confluent(cluster_frame(2, True).as_model().masks)
 
 
 def test_p_morphism_identity_spec():
     frame = cluster_frame(2, False)
-    nm = frame.natural_model()
+    nm = frame.as_model({f"p{i}": [f"g{i}"] for i in range(frame.size)})
     pm = find_p_morphism(nm, "g0", frame, [Atom("p0"), Atom("p1")])
     assert pm is not None
     pm.validate()
@@ -394,6 +394,31 @@ def test_frame_shape_checks_every_call_and_takes_unhashable_relations():
         rel = [["0", "0"], ["0", "1"], ["1", "1"]]
 
     assert frame_shape(Listed()) == (2, frozenset({(0, 0), (0, 1), (1, 1)}))
+
+
+def test_frame_shape_decides_like_the_pair_set_reference():
+    # every relation on at most 3 points; a target that is no preorder is
+    # named by the strict validation's first defect
+    class Frame:
+        def __init__(self, size, rel):
+            self.size, self.rel = size, rel
+
+    count = 0
+    for size in (1, 2, 3):
+        pairs = list(itertools.product(range(size), repeat=2))
+        for bits in range(1 << len(pairs)):
+            rel = frozenset(pair for i, pair in enumerate(pairs) if bits >> i & 1)
+            expected = frame_shape_reference(size, rel)
+            try:
+                assert frame_shape(Frame(size, rel)) == (size, rel)
+                decision = "ok"
+            except ModelError as exc:
+                decision = "not rooted" if "not rooted" in str(exc) else "rejected"
+                if decision == "rejected":
+                    assert str(exc) == preorder_defect_reference(range(size), rel)
+            assert decision == expected, (size, sorted(rel))
+            count += 1
+    assert count == 530
 
 
 def test_validate_names_the_first_failed_condition():

@@ -6,13 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import refine_reference
 from gammalog import kripke, refine
-from gammalog.frame_formulas import OMEGA, gamma, satisfies_relative
+from gammalog.frame_formulas import OMEGA, gamma, relative_satisfaction_witness
 from gammalog.kripke import (
     PreorderModel, cluster_sizes, clusters, is_confluent, load_model, model_check,
 )
 from gammalog.refine import (
     RefinementError, RefinementPlan, boxed_members, find_adequate_set, inadequacy_witness,
-    is_adequate, make_plan, refine_cluster, refine_model,
+    make_plan, refine_cluster, refine_model,
 )
 from gammalog.syntax import (
     Atom, Box, Diamond, Implies, Not, Or, And, boolean_subformula_closure, closure_letters,
@@ -32,19 +32,18 @@ SIGMA_P = boolean_subformula_closure([to_core(parse("[]p"))])
 
 def test_is_adequate_no_boxes_vacuous():
     m = PreorderModel(["x", "y"], total("xy"), {"p": ["x"]})
-    assert is_adequate(m, frozenset({"x", "y"}), {"x"}, [parse("p"), parse("~p")])
+    assert inadequacy_witness(m, frozenset({"x", "y"}), {"x"}, [parse("p"), parse("~p")]) is None
 
 
 def test_is_adequate_final_singleton():
     m = PreorderModel(["x"], [("x", "x")], {"p": ["x"]})
     # x satisfies []p, so ~[]p & p fails at x and the condition is vacuous
-    assert is_adequate(m, frozenset({"x"}), {"x"}, [BOXP, parse("p")])
+    assert inadequacy_witness(m, frozenset({"x"}), {"x"}, [BOXP, parse("p")]) is None
 
 
 def test_is_adequate_split_final_two_cluster():
     m = PreorderModel(["x", "y"], total("xy"), {"p": ["x"]})
     cluster = frozenset({"x", "y"})
-    assert not is_adequate(m, cluster, {"x"}, [BOXP, parse("p")])
     assert inadequacy_witness(m, cluster, {"x"}, [BOXP, parse("p")]) == BOXP
 
 
@@ -55,15 +54,15 @@ def test_is_adequate_discharged_above():
         total("xy") + [("x", "z"), ("y", "z"), ("z", "z")],
         {"p": ["x", "y"]},
     )
-    assert is_adequate(m, frozenset({"x", "y"}), {"x"}, [BOXP, parse("p")])
+    assert inadequacy_witness(m, frozenset({"x", "y"}), {"x"}, [BOXP, parse("p")]) is None
 
 
 def test_is_adequate_validates_subset():
     m = PreorderModel(["x", "y"], total("xy"), {})
     with pytest.raises(RefinementError):
-        is_adequate(m, frozenset({"x"}), {"y"}, [])
+        inadequacy_witness(m, frozenset({"x"}), {"y"}, [])
     with pytest.raises(RefinementError):
-        is_adequate(m, frozenset({"x", "y"}), set(), [])
+        inadequacy_witness(m, frozenset({"x", "y"}), set(), [])
 
 
 def test_refine_cluster_four_cluster_shape():
@@ -128,7 +127,7 @@ def test_find_adequate_set_three_cluster_doubleton():
     cluster = frozenset("abc")
     found = find_adequate_set(m, cluster, SIGMA_P, SIGMA_P, 2)
     assert found is not None
-    assert is_adequate(m, cluster, found, SIGMA_P)
+    assert inadequacy_witness(m, cluster, found, SIGMA_P) is None
 
 
 def test_find_adequate_set_none_when_precondition_violated():
@@ -145,7 +144,7 @@ def test_refine_model_omega_is_identity():
 def test_refine_model_single_indistinguishable_cluster():
     m = PreorderModel(list("abc"), total("abc"), {"p": list("abc")})
     refined = refine_model(m, SIGMA_P, SIGMA_P, 1, 1)
-    finals, nonfinals = cluster_sizes(refined)
+    finals, nonfinals = cluster_sizes(refined.masks)
     assert max(finals) == 1
     for f in sorted_formulas(SIGMA_P):
         assert model_check(m, f) == model_check(refined, f)
@@ -159,9 +158,9 @@ def test_refine_model_minimal_first_and_locality():
     steps = []
     refined = refine_model(m, SIGMA_P, SIGMA_P, 1, 1, step_log=steps)
     assert [s["final"] for s in steps] == [False, True]
-    finals, nonfinals = cluster_sizes(refined)
+    finals, nonfinals = cluster_sizes(refined.masks)
     assert all(s == 1 for s in finals + nonfinals)
-    assert is_confluent(refined)
+    assert is_confluent(refined.masks)
     # locality: removed edges stay inside the refined clusters
     removed = m.order - refined.order
     view = clusters(m)
@@ -189,12 +188,12 @@ def test_refine_model_precondition_recheck_mode():
         cluster = frozenset(step["cluster"])
         chi = gamma(1, topped=not step["final"])
         for side in (SIGMA_P, SIGMA_P):
-            assert satisfies_relative(work, cluster, chi, side)
+            assert relative_satisfaction_witness(work, cluster, chi, side) is None
         plan = make_plan(work, cluster, step["kept"])
         assert len(plan.removed_edges) == step["removed_edges"]
         work = refine_cluster(work, plan)
     assert work == refined
-    finals, _ = cluster_sizes(refined)
+    finals, _ = cluster_sizes(refined.masks)
     assert max(finals) == 1
 
 
@@ -238,7 +237,7 @@ def test_refine_model_never_builds_the_order_view(monkeypatch):
     steps = []
     refined = refine_model(model, sigma, sigma, 2, 2, step_log=steps)
     assert len(steps) == 36 and built == []
-    finals, nonfinals = cluster_sizes(refined)
+    finals, nonfinals = cluster_sizes(refined.masks)
     assert max(finals + nonfinals) <= 2
 
 

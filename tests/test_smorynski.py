@@ -54,7 +54,8 @@ def test_separability_witness_uses_shared_atoms_only():
     for closure, split in cases:
         result = is_separable(split, closure, S4)
         assert isinstance(result, Separable)
-        assert atoms(result.witness) <= closure.shared_atoms()
+        shared = {a.name for a in closure.sigma1 & closure.sigma2 if isinstance(a, Atom)}
+        assert atoms(result.witness) <= shared
 
 
 def test_flat_membership_split():
@@ -124,7 +125,7 @@ def test_smorynski_order_is_box_inclusion():
 def test_smorynski_confluent_for_kc():
     closure = SignedClosure.from_seeds([p], [p])
     sm = build_smorynski_model(closure, S42)
-    assert is_confluent(sm.model)
+    assert is_confluent(sm.model.masks)
     assert not truth_lemma_violations(sm)
 
 
@@ -203,7 +204,7 @@ def test_smorynski_bounded_logic_small_closure():
     assert not truth_lemma_violations(sm)
     smk = build_smorynski_model(closure, parse_logic("G(KC,2,2)"))
     assert not truth_lemma_violations(smk)
-    assert is_confluent(smk.model)
+    assert is_confluent(smk.model.masks)
 
 
 def test_smorynski_bounded_logic_aborts_loudly_when_oracle_cannot_decide():

@@ -221,7 +221,7 @@ def test_box_negation_closure_over_top_collapses_semantically():
 def test_signed_closure_from_seeds_validates():
     cl = SignedClosure.from_seeds([p], [parse("p & q")])
     cl.validate()
-    assert cl.shared_atoms() == {"p"}
+    assert {a.name for a in cl.sigma1 & cl.sigma2 if isinstance(a, Atom)} == {"p"}
     assert cl.side(1) == cl.sigma1 and cl.side(2) == cl.sigma2
 
 
