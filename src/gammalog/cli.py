@@ -79,9 +79,12 @@ def _model_line(args, encoded: dict, written: str) -> str:
     line. The line is for text output only: JSON output carries the model
     in its payload, so there it stays empty."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(encoded, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(encoded, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc}") from exc
         return f"{written} {args.out}"
     if args.format == "json":
         return ""
@@ -179,13 +182,13 @@ def cmd_frame_formula(args) -> int:
 
 
 def _read_formula_file(path: str):
-    out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                out.append(_formula(line))
-    return out
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read formula file: {exc}") from exc
+    stripped = (line.split("#", 1)[0].strip() for line in lines)
+    return [_formula(line) for line in stripped if line]
 
 
 def _parse_bound(text: str):
@@ -199,7 +202,8 @@ def _parse_bound(text: str):
 def cmd_refine(args) -> int:
     try:
         model = kripke.load_model(args.model)
-    except (OSError, kripke.ModelError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+            kripke.ModelError) as exc:
         raise _UsageError(f"cannot load model: {exc}") from exc
     closed = subformula_closure(to_core(f) for f in _read_formula_file(args.sigma))
     steps: list = []

@@ -506,7 +506,7 @@ def _labeled_posets(b: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _preorders(k: int) -> Iterator[tuple[int, ...]]:
+def preorders(k: int) -> Iterator[tuple[int, ...]]:
     """Every preorder on range(k) as successor masks, once each: a partition
     into clusters times a strict partial order on the clusters."""
     for partition in _set_partitions(tuple(range(k))):
@@ -522,12 +522,6 @@ def _preorders(k: int) -> Iterator[tuple[int, ...]]:
         for ups in _labeled_posets(len(partition)):
             rows = [unions[1 << i | up] for i, up in enumerate(ups)]
             yield tuple(map(rows.__getitem__, owner))
-
-
-def labeled_preorders(k: int) -> Iterator[frozenset[tuple[int, int]]]:
-    """Every preorder on range(k), once each, as a set of pairs."""
-    for succ in _preorders(k):
-        yield frozenset((a, b) for a, row in enumerate(succ) for b in select(range(k), row))
 
 
 @lru_cache(maxsize=8)
@@ -553,7 +547,7 @@ def canonical_frames(k: int) -> tuple[tuple[int, ...], ...]:
     pick = list.__getitem__
     seen: set[int] = set()
     codes = []
-    for succ in _preorders(k):
+    for succ in preorders(k):
         if sum(map(pick, tables[0], succ)) not in seen:
             images = [sum(map(pick, table, succ)) for table in tables]
             seen.update(images)
@@ -721,9 +715,8 @@ def _match_frame_conjunction(f: Formula) -> Optional[tuple[RootedFrame, list[str
         return None
     k = len(names)
     index = {name: i for i, name in enumerate(names)}
-    need_neg = {(i, j) for i in range(k) for j in range(k) if i != j}
-    rel_pairs: set[tuple[int, int]] = set()
-    nonrel_pairs: set[tuple[int, int]] = set()
+    # bit j of row i: the item [](pi -> ~pj), [](pi -> <>pj) or [](pi -> ~<>pj)
+    neg, rel, nonrel = [0] * k, [0] * k, [0] * k
     for item in items[2:]:
         if not (isinstance(item, Box) and isinstance(item.sub, Implies)):
             return None
@@ -732,28 +725,28 @@ def _match_frame_conjunction(f: Formula) -> Optional[tuple[RootedFrame, list[str
             return None
         i = index[left.name]
         if isinstance(right, Not) and isinstance(right.sub, Atom) and right.sub.name in index:
-            pair = (i, index[right.sub.name])
-            if pair not in need_neg:
+            j = index[right.sub.name]
+            if i == j or neg[i] >> j & 1:
                 return None
-            need_neg.discard(pair)
+            neg[i] |= 1 << j
         elif isinstance(right, Diamond) and isinstance(right.sub, Atom) and right.sub.name in index:
-            rel_pairs.add((i, index[right.sub.name]))
+            rel[i] |= 1 << index[right.sub.name]
         elif (
             isinstance(right, Not)
             and isinstance(right.sub, Diamond)
             and isinstance(right.sub.sub, Atom)
             and right.sub.sub.name in index
         ):
-            nonrel_pairs.add((i, index[right.sub.sub.name]))
+            nonrel[i] |= 1 << index[right.sub.sub.name]
         else:
             return None
-    if need_neg:
+    full = (1 << k) - 1
+    if any(row | 1 << i != full for i, row in enumerate(neg)):
         return None
-    all_pairs = {(i, j) for i in range(k) for j in range(k)}
-    if rel_pairs | nonrel_pairs != all_pairs or rel_pairs & nonrel_pairs:
+    if any(yes | no != full or yes & no for yes, no in zip(rel, nonrel)):
         return None
     try:
-        frame = RootedFrame(k, frozenset(rel_pairs))
+        frame = RootedFrame(tuple(rel))
     except kripke.ModelError:
         return None
     return frame, names

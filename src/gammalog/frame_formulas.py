@@ -39,17 +39,22 @@ class ResourceCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class RootedFrame:
-    """A finite preorder on points 0..size-1 with 0 a root."""
+    """A finite preorder on points 0..size-1 with 0 a root: point i sees the
+    points at the set bits of ``succ[i]``."""
 
-    size: int
-    rel: frozenset[tuple[int, int]]
+    succ: tuple[int, ...]
 
     def __post_init__(self):
-        kripke.frame_shape(self)
+        kripke.check_rooted_frame(self.succ)
+
+    @property
+    def size(self) -> int:
+        return len(self.succ)
 
     def as_model(self, valuation=None) -> kripke.PreorderModel:
         worlds = [f"g{i}" for i in range(self.size)]
-        order = {(f"g{a}", f"g{b}") for a, b in self.rel}
+        # through the pair constructor: it sorts the ids, and g10 sorts before g2
+        order = [(a, b) for a, row in zip(worlds, self.succ) for b in kripke.select(worlds, row)]
         return kripke.PreorderModel(worlds, order, valuation or {})
 
 
@@ -57,11 +62,9 @@ def cluster_frame(n: int, topped: bool) -> RootedFrame:
     """The n-cluster C_n, or C_n^T with one reflexive point n on top."""
     if n < 1:
         raise FormulaError(f"cluster frames need n >= 1, got {n}")
-    rel = {(i, j) for i in range(n) for j in range(n)}
     if topped:
-        rel |= {(i, n) for i in range(n + 1)}
-        return RootedFrame(n + 1, frozenset(rel))
-    return RootedFrame(n, frozenset(rel))
+        return RootedFrame(((1 << n + 1) - 1,) * n + (1 << n,))
+    return RootedFrame(((1 << n) - 1,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +79,10 @@ def frame_formula(frame: RootedFrame) -> Formula:
         if i != j:
             items.append(Box(Implies(ps[i], Not(ps[j]))))
     for i, j in itertools.product(range(n), repeat=2):
-        if (i, j) in frame.rel:
+        if frame.succ[i] >> j & 1:
             items.append(Box(Implies(ps[i], Diamond(ps[j]))))
     for i, j in itertools.product(range(n), repeat=2):
-        if (i, j) not in frame.rel:
+        if not frame.succ[i] >> j & 1:
             items.append(Box(Implies(ps[i], Not(Diamond(ps[j])))))
     return Not(conj(items))
 

@@ -3,30 +3,31 @@
 Models are immutable after construction. World ids are opaque strings and
 every deterministic enumeration iterates them in lexicographic order.
 
-There is one evaluator core, on bitmasks. ``eval_on_frame`` runs it on
-successor bitmasks (bit i is the i-th world in sorted order) and evaluates
-a formula on any number of disjoint copies of one frame at once, each copy
-with its own valuation. A ``PreorderModel``'s order is its successor masks,
-which every query reads. They are built on one path,
-``PreorderModel.from_masks``, which closes or validates them; the pair
-constructor and ``model_from_masks`` end in it, and ``without_edges``
-edits a built model's masks and re-checks only the rows it changed.
-``order``, their view as pairs, is built only when asked for.
-``model_check`` reads the one-copy result back as a set of world ids
-through ``select``, the one mask decoder. The bounded
-model search, the interpolant fingerprints and, through
-``eval_valuations``, relative satisfaction and criterion 1 put each
-valuation of a frame in a copy of its own. ``eval_propositional`` runs the
-core with no frame, on letters for atoms and boxed formulas: the type
-spaces of ``engine`` evaluate their closures so and read their witnesses
-off the survivor mask.
-Frame properties (cluster sizes, confluence, and through them
-``engine.in_frame_class``) read successor masks too: a cluster is the
-worlds of one row, final when the row's popcount equals its size.
-``clusters`` builds the named ``ClusterView`` for callers that need it.
-Unknown atoms evaluate to the empty set (logged once per model) because
-the closure machinery routinely checks formulas over partially valued
-models.
+Every frame is held as successor masks, bit i for the i-th world (or
+point) in sorted order, and nothing here holds an order as pairs. A
+``PreorderModel`` is built on one path, ``PreorderModel.from_masks``, which
+closes or validates the masks; the pair constructor (for JSON input and
+``RootedFrame.as_model``), ``model_from_masks`` and ``generated_submodel``
+end in it, and ``without_edges`` edits a model's masks and re-checks only
+the rows it changed. The target frame of a p-morphism is masks on points 0..n-1,
+checked by ``check_rooted_frame`` with the same preorder check.
+
+There is one evaluator core. ``eval_on_frame`` runs it on successor masks
+and evaluates a formula on any number of disjoint copies of one frame at
+once, each copy with its own valuation. ``model_check`` reads the one-copy
+result back as a set of world ids through ``select``, the one mask
+decoder. The bounded model search, the interpolant fingerprints and,
+through ``eval_valuations``, relative satisfaction and criterion 1 put
+each valuation of a frame in a copy of its own. ``eval_propositional``
+runs the core with no frame, on letters for atoms and boxed formulas: the
+type spaces of ``engine`` evaluate their closures so and read their
+witnesses off the survivor mask. Frame properties (cluster sizes,
+confluence, and through them ``engine.in_frame_class``) read the masks
+too: a cluster is the worlds of one row, final when the row's popcount
+equals its size. ``clusters`` builds the named ``ClusterView`` for callers
+that need it. Unknown atoms evaluate to the empty set (logged once per
+model) because the closure machinery routinely checks formulas over
+partially valued models.
 """
 
 from __future__ import annotations
@@ -60,11 +61,10 @@ class PreorderModel:
     already a preorder, ``closure="auto"`` closes them reflexively and
     transitively. The constructor turns a set of pairs into masks and calls
     that core; ``without_edges`` clears bits of a built model and re-checks
-    only the rows it changed. ``order`` is the masks' view as a set of
-    pairs, built on first use; no query needs it.
+    only the rows it changed.
     """
 
-    __slots__ = ("worlds", "valuation", "_masks", "_order", "_env", "_cache", "_sets", "_gen")
+    __slots__ = ("worlds", "valuation", "_masks", "_env", "_cache", "_sets", "_gen")
 
     def __init__(
         self,
@@ -136,11 +136,10 @@ class PreorderModel:
         self.worlds: tuple[str, ...] = ws
         self.valuation: dict[str, frozenset[str]] = val
         self._masks = tuple(masks)
-        self._order: Optional[frozenset[tuple[str, str]]] = None
         self._env = env
         self._cache: dict[Formula, int] = {}
         self._sets: dict[Formula, frozenset[str]] = {}
-        self._gen: dict[frozenset[str], "PreorderModel"] = {}
+        self._gen: dict[int, "PreorderModel"] = {}
 
     def without_edges(self, pairs: Iterable[tuple[str, str]]) -> "PreorderModel":
         """This model with the given edges deleted, validated as a preorder.
@@ -163,16 +162,6 @@ class PreorderModel:
         model = PreorderModel.__new__(PreorderModel)
         model._adopt(self.worlds, masks, self.valuation, _Valuation(self._env))
         return model
-
-    @property
-    def order(self) -> frozenset[tuple[str, str]]:
-        """The order as (world, successor) pairs, a view of the masks."""
-        if self._order is None:
-            ws = self.worlds
-            self._order = frozenset(
-                (a, b) for a, mask in zip(ws, self._masks) for b in select(ws, mask)
-            )
-        return self._order
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -412,14 +401,15 @@ def satisfies(model: PreorderModel, world: str, f: Formula) -> bool:
 
 @dataclass(frozen=True)
 class ClusterView:
-    """Partition of a model's worlds into clusters with their strict order.
+    """Partition of a model's worlds into clusters with their order.
 
-    Clusters are indexed in order of their least world id; ``final[i]`` says
-    no cluster lies strictly above cluster i.
+    Clusters are indexed in order of their least world id. Bit j of
+    ``above[i]`` says cluster j lies above cluster i or is it; ``final[i]``
+    says no other cluster lies above cluster i.
     """
 
     clusters: tuple[frozenset[str], ...]
-    leq: frozenset[tuple[int, int]]
+    above: tuple[int, ...]
     final: tuple[bool, ...]
     cluster_of: Mapping[str, int] = field(hash=False, compare=False, default_factory=dict)
 
@@ -431,11 +421,10 @@ def clusters(model: PreorderModel) -> ClusterView:
     for w, mask in zip(model.worlds, model._masks):
         members.setdefault(mask, []).append(w)
     number = {mask: i for i, mask in enumerate(members)}
-    above = [{number[m] for m in select(model._masks, mask)} for mask in members]
-    leq = frozenset((i, j) for i, js in enumerate(above) for j in js)
-    final = tuple(len(js) == 1 for js in above)
+    above = tuple(sum({1 << number[m] for m in select(model._masks, mask)}) for mask in members)
+    final = tuple(row.bit_count() == 1 for row in above)
     cluster_of = {w: i for i, ws in enumerate(members.values()) for w in ws}
-    return ClusterView(tuple(map(frozenset, members.values())), leq, final, cluster_of)
+    return ClusterView(tuple(map(frozenset, members.values())), above, final, cluster_of)
 
 
 def cluster_sizes(succ: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -457,16 +446,18 @@ def cluster_sizes(succ: Sequence[int]) -> tuple[list[int], list[int]]:
 
 def generated_submodel(model: PreorderModel, world: str) -> PreorderModel:
     """Restriction of the model to the worlds reachable from ``world``."""
-    keep = model.successors(world)
-    cached = model._gen.get(keep)
-    if cached is not None:
-        return cached
-    sub = PreorderModel(
-        keep,
-        [(a, b) for a in keep for b in model.successors(a)],
-        {atom: ext & keep for atom, ext in model.valuation.items()},
-    )
-    model._gen[keep] = sub
+    keep = model._mask(world)
+    sub = model._gen.get(keep)
+    if sub is None:
+        kept = select(range(len(model.worlds)), keep)
+        bit = [0] * len(model.worlds)  # a kept world's bit in the submodel
+        for r, j in enumerate(kept):
+            bit[j] = 1 << r
+        names = select(model.worlds, keep)
+        sub = model._gen[keep] = PreorderModel.from_masks(
+            names, [sum(select(bit, model._masks[j])) for j in kept],
+            {atom: ext.intersection(names) for atom, ext in model.valuation.items()},
+        )
     return sub
 
 
@@ -482,68 +473,53 @@ def is_confluent(succ: Sequence[int]) -> bool:
 # p-morphisms
 # ---------------------------------------------------------------------------
 
-def frame_shape(frame) -> tuple[int, frozenset[tuple[int, int]]]:
-    """Accepts any object with integer ``size`` and relation ``rel``; the
-    validated shape is cached under the frame's own fields."""
-    try:
-        return _frame_shape(frame.size, frame.rel)
-    except TypeError:  # an unhashable relation is checked without the cache
-        return _frame_shape.__wrapped__(frame.size, frame.rel)
-
-
-@lru_cache(maxsize=1024)
-def _frame_shape(size, rel) -> tuple[int, frozenset[tuple[int, int]]]:
-    size = int(size)
-    rel = frozenset((int(a), int(b)) for a, b in rel)
-    if size <= 0:
+def check_rooted_frame(succ: Sequence[int]) -> None:
+    """Raise unless ``succ`` holds the successor masks of a preorder on
+    points 0..len(succ)-1 in which 0 sees every point."""
+    size = len(succ)
+    if not size:
         raise ModelError("target frame must be nonempty")
-    masks = [0] * size
-    for a, b in rel:
-        if not (0 <= a < size and 0 <= b < size):
-            raise ModelError(f"target relation pair ({a},{b}) out of range")
-        masks[a] |= 1 << b
-    _check_preorder(range(size), masks, range(size))
-    if masks[0] != (1 << size) - 1:
+    if any(not 0 <= row < 1 << size for row in succ):
+        raise ModelError(f"target frame rows must be masks over {size} points")
+    _check_preorder(range(size), succ, range(size))
+    if succ[0] != (1 << size) - 1:
         raise ModelError("target frame is not rooted at 0")
-    return size, rel
 
 
 @dataclass(frozen=True)
 class PMorphism:
     """A surjective monotone map with the back condition, from a generated
-    submodel onto a finite rooted preorder."""
+    submodel onto the rooted frame with successor masks ``target_succ``."""
 
     source: PreorderModel
-    target_size: int
-    target_rel: frozenset[tuple[int, int]]
+    target_succ: tuple[int, ...]
     mapping: Mapping[str, int] = field(hash=False, compare=False, default_factory=dict)
 
     def validate(self) -> None:
         if set(self.mapping) != set(self.source.worlds):
             raise ModelError("p-morphism is not total on the source")
-        defect = _p_morphism_defect(self.source, self.target_size, self.target_rel, self.mapping)
+        defect = _p_morphism_defect(self.source, self.target_succ, self.mapping)
         if defect is not None:
             raise ModelError(defect)
 
 
 def _p_morphism_defect(
-    source: PreorderModel, size: int, rel, mapping: Mapping[str, int]
+    source: PreorderModel, succ: Sequence[int], mapping: Mapping[str, int]
 ) -> Optional[str]:
     """The first condition that a total map fails as a p-morphism onto the
-    frame (size, rel), in the order surjective, monotone, back; None if
-    it is one."""
-    if set(mapping.values()) != set(range(size)):
+    frame with successor masks ``succ``, in the order surjective, monotone,
+    back; None if it is one."""
+    if set(mapping.values()) != set(range(len(succ))):
         return "p-morphism is not surjective"
-    for a, mask in zip(source.worlds, source._masks):
-        for b in select(source.worlds, mask):
-            if (mapping[a], mapping[b]) not in rel:
+    ws = source.worlds
+    for a, mask in zip(ws, source._masks):
+        for b in select(ws, mask):
+            if not succ[mapping[a]] >> mapping[b] & 1:
                 return f"p-morphism not monotone at ({a},{b})"
-    for w in source.worlds:
-        fw = mapping[w]
-        images = {mapping[v] for v in source.successors(w)}
-        for j in range(size):
-            if (fw, j) in rel and j not in images:
-                return f"back condition fails at {w} for {j}"
+    for w, mask in zip(ws, source._masks):
+        missing = succ[mapping[w]] & ~sum({1 << mapping[v] for v in select(ws, mask)})
+        if missing:
+            return f"back condition fails at {w} for {(missing & -missing).bit_length() - 1}"
     return None
 
 
@@ -553,19 +529,21 @@ def find_p_morphism(
     frame,
     preimage_spec: Optional[Sequence[Formula]] = None,
 ) -> Optional[PMorphism]:
-    """Search for a p-morphism from the submodel generated by ``world``.
+    """Search for a p-morphism from the submodel generated by ``world`` onto
+    ``frame``, a ``frame_formulas.RootedFrame``: its successor masks
+    ``frame.succ`` were checked by ``check_rooted_frame`` when it was built.
 
     With ``preimage_spec`` = [f0..f_{n-1}] there is at most one candidate:
     y maps to the unique i with y in [[fi]]; the candidate is returned iff
     the preimage sets partition the submodel and the map is a p-morphism.
     Without a spec, all maps are tried in canonical order.
     """
-    size, rel = frame_shape(frame)
+    succ = frame.succ
     sub = generated_submodel(model, world)
     if preimage_spec is not None:
-        if len(preimage_spec) != size:
+        if len(preimage_spec) != len(succ):
             raise ModelError(
-                f"preimage spec has {len(preimage_spec)} formulas for {size} points"
+                f"preimage spec has {len(preimage_spec)} formulas for {len(succ)} points"
             )
         extensions = [model_check(sub, f) for f in preimage_spec]
         mapping: dict[str, int] = {}
@@ -576,11 +554,11 @@ def find_p_morphism(
             mapping[w] = hits[0]
         candidates = [mapping]
     else:
-        values = itertools.product(range(size), repeat=len(sub.worlds))
+        values = itertools.product(range(len(succ)), repeat=len(sub.worlds))
         candidates = (dict(zip(sub.worlds, image)) for image in values)
     for mapping in candidates:
-        if _p_morphism_defect(sub, size, rel, mapping) is None:
-            return PMorphism(sub, size, rel, mapping)
+        if _p_morphism_defect(sub, succ, mapping) is None:
+            return PMorphism(sub, succ, mapping)
     return None
 
 
@@ -626,11 +604,14 @@ def model_from_dict(data: Mapping) -> PreorderModel:
         worlds = data["worlds"]
         order = [tuple(pair) for pair in data["order"]]
         valuation = data.get("valuation", {})
+        list_types = set(map(type, [worlds, data["order"], *data["order"], *valuation.values()]))
         id_types = set(map(type, itertools.chain(worlds, *order, *valuation.values())))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ModelError(f"malformed model object: {exc}") from exc
-    if set(map(len, order)) - {2} or id_types - {str}:
-        raise ModelError("world ids must be strings, and order entries pairs of them")
+    # a string or an object in place of a list would read as its characters or keys
+    not_lists = any(issubclass(t, (str, Mapping)) for t in list_types - {list})
+    if not_lists or set(map(len, order)) - {2} or id_types - {str}:
+        raise ModelError("world ids must be strings in lists, and order entries pairs of them")
     closure = data.get("closure", "strict")
     return PreorderModel(worlds, order, valuation, closure=closure)
 
@@ -639,8 +620,3 @@ def load_model(path: str) -> PreorderModel:
     with open(path, "r", encoding="utf-8") as handle:
         return model_from_dict(json.load(handle))
 
-
-def dump_model(model: PreorderModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model), handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -249,7 +249,7 @@ def _schedule(view: kripke.ClusterView, bound: int, want_final: bool) -> list[in
     ]
     order = []
     while todo:
-        i = next(i for i in todo if not any(j != i and (j, i) in view.leq for j in todo))
+        i = next(i for i in todo if not any(j != i and view.above[j] >> i & 1 for j in todo))
         order.append(i)
         todo.remove(i)
     return order

@@ -1,5 +1,7 @@
 """Reference frame enumeration and model building for the tests.
 
+``labeled_preorders`` decodes ``engine.preorders``' successor masks into
+sets of pairs, the format of the references below.
 ``labeled_posets_reference`` is the table of labelled strict orders on
 sets of pairs that ``engine`` built before it ran it on successor masks.
 ``canonical_frames_reference`` picks each isomorphism class's
@@ -22,10 +24,16 @@ import itertools
 from functools import lru_cache
 
 from gammalog import kripke
-from gammalog.engine import labeled_preorders, size_layer
-from gammalog.kripke import PreorderModel, eval_on_frame, model_from_masks
+from gammalog.engine import preorders, size_layer
+from gammalog.kripke import PreorderModel, eval_on_frame, model_from_masks, select
 from gammalog.syntax import FALSE, TRUE, Atom, Box, atoms, node_count, sort_key
 from kripke_reference import cluster_sizes_reference, is_confluent_reference
+
+
+def labeled_preorders(k):
+    """Every preorder on range(k), once each, as a set of pairs."""
+    for succ in preorders(k):
+        yield frozenset((a, b) for a, row in enumerate(succ) for b in select(range(k), row))
 
 
 def _subsets(items):

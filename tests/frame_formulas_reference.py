@@ -30,7 +30,7 @@ def relative_satisfaction_witness_reference(model, cluster, chi, sigma, max_tupl
         if ok is None:
             valuation = dict(model.valuation)
             valuation.update((f"p{i}", ext) for i, ext in enumerate(ext_key))
-            revalued = kripke.PreorderModel(model.worlds, model.order, valuation)
+            revalued = kripke.PreorderModel.from_masks(model.worlds, model.masks, valuation)
             ok = cluster <= kripke.model_check(revalued, chi)
             seen[ext_key] = ok
         if not ok:

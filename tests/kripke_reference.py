@@ -12,7 +12,10 @@ validation reports, from the pairs alone. ``cluster_sizes_reference``
 reads the sizes off a model's ``ClusterView``, and ``is_confluent_reference``
 tests confluence on successor sets, as ``kripke`` did before both read
 successor masks. ``frame_shape_reference`` is the decision that
-``kripke.frame_shape`` makes on a target frame, checked on its pairs.
+``kripke.check_rooted_frame`` makes on a target frame, checked on its
+pairs, and ``p_morphism_defect_reference`` names the first defect of a map
+onto a target frame given as a set of pairs, as ``kripke`` did before it
+read successor masks. ``order_pairs`` reads a model's order as pairs.
 """
 
 import itertools
@@ -114,7 +117,8 @@ def clusters_reference(model) -> ClusterView:
         for i in range(len(ordered))
     )
     cluster_of = {w: i for i, c in enumerate(ordered) for w in c}
-    return ClusterView(tuple(ordered), frozenset(leq), final, cluster_of)
+    above = tuple(sum(1 << j for i2, j in leq if i2 == i) for i in range(len(ordered)))
+    return ClusterView(tuple(ordered), above, final, cluster_of)
 
 
 def cluster_sizes_reference(model):
@@ -132,6 +136,29 @@ def is_confluent_reference(model):
         for w in model.worlds
         for a, b in itertools.combinations(sorted(model.successors(w)), 2)
     )
+
+
+def order_pairs(model):
+    """The order of a model as (world, successor) pairs."""
+    return frozenset((a, b) for a in model.worlds for b in model.successors(a))
+
+
+def p_morphism_defect_reference(source, size, rel, mapping):
+    """The first condition that a total map fails as a p-morphism onto the
+    frame (size, rel), in the order surjective, monotone, back; None if it
+    is one."""
+    if set(mapping.values()) != set(range(size)):
+        return "p-morphism is not surjective"
+    for a in source.worlds:
+        for b in sorted(source.successors(a)):
+            if (mapping[a], mapping[b]) not in rel:
+                return f"p-morphism not monotone at ({a},{b})"
+    for w in source.worlds:
+        images = {mapping[v] for v in source.successors(w)}
+        for j in range(size):
+            if (mapping[w], j) in rel and j not in images:
+                return f"back condition fails at {w} for {j}"
+    return None
 
 
 def frame_shape_reference(size, rel):

@@ -64,7 +64,7 @@ def _oversized(view, bound, want_final):
 
 
 def _minimal_indices(view, indices):
-    return [i for i in indices if not any(j != i and (j, i) in view.leq for j in indices)]
+    return [i for i in indices if not any(j != i and view.above[j] >> i & 1 for j in indices)]
 
 
 def refine_model(model, sigma1, sigma2, m, n, step_log=None):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -6,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gammalog
 from gammalog import cli
@@ -129,7 +132,13 @@ def test_refine_command(capsys, tmp_path):
 @pytest.mark.parametrize("model", [
     {"worlds": [1, "a"], "order": [[1, 1], ["a", "a"]]},
     {"worlds": [["x"]], "order": []},
-], ids=["int-world", "list-world"])
+    # a string or an object where a list of ids belongs
+    {"worlds": ["a", "b"], "order": [["a", "a"], ["b", "b"]], "valuation": {"p": "ab"}},
+    {"worlds": ["a"], "order": [["a", "a"]], "valuation": {"p": {"a": 1}}},
+    {"worlds": "ab", "order": [["a", "a"], ["b", "b"]]},
+    {"worlds": ["a", "b"], "order": ["aa", "bb"]},
+], ids=["int-world", "list-world", "string-extension", "object-extension", "string-worlds",
+        "string-pairs"])
 def test_refine_non_string_world_ids_are_a_usage_error(capsys, tmp_path, model):
     model_file = tmp_path / "m.json"
     model_file.write_text(json.dumps(model))
@@ -139,6 +148,106 @@ def test_refine_non_string_world_ids_are_a_usage_error(capsys, tmp_path, model):
                          "--m", "2", "--n", "2")
     assert code == 2
     assert out == "" and err.startswith("error: cannot load model:")
+
+
+FILE_ERRORS = {
+    "refine-missing-sigma": ["refine", "{model}", "--sigma", "{missing}", "--m", "2", "--n", "2"],
+    "smorynski-missing-sigma1": ["smorynski", "--logic", "S4", "--sigma1", "{missing}"],
+    "refine-model-not-utf8": ["refine", "{latin1}", "--sigma", "{sigma}", "--m", "2", "--n", "2"],
+    "refine-sigma-not-utf8": ["refine", "{model}", "--sigma", "{latin1}", "--m", "2", "--n", "2"],
+    "refine-model-nested-too-deeply": ["refine", "{deep}", "--sigma", "{sigma}", "--m", "2",
+                                       "--n", "2"],
+    "check-out-in-missing-dir": ["check", "--logic", "S4", "--out", "{missing}/x.json", "p"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(FILE_ERRORS))
+def test_file_errors_are_usage_errors(capsys, tmp_path, case, fmt):
+    paths = {
+        "model": tmp_path / "m.json", "sigma": tmp_path / "sigma.txt",
+        "latin1": tmp_path / "latin1.txt", "missing": tmp_path / "missing",
+        "deep": tmp_path / "deep.json",
+    }
+    paths["model"].write_text(json.dumps({"worlds": ["a"], "order": [["a", "a"]]}))
+    paths["sigma"].write_text("p\n")
+    paths["latin1"].write_bytes("\u00e9 p\n".encode("latin-1"))
+    paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
+    argv = [arg.format(**paths) for arg in FILE_ERRORS[case]]
+    code, out, err = run(capsys, "--format", fmt, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot ") and "Traceback" not in err
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+_FORMULA_TOKENS = ["p", "q", "r", "~", "&", "|", "->", "<->", "[]", "<>", "(", ")",
+                   "true", "false", " ", "\u25a1", "\u00ac"]
+_formulas = st.recursive(
+    st.sampled_from(["p", "q", "r", "true", "false"]),
+    lambda sub: st.builds("~{}".format, sub) | st.builds("[]{}".format, sub)
+    | st.builds("<>{}".format, sub)
+    | st.builds("({} {} {})".format, sub, st.sampled_from(["&", "|", "->", "<->"]), sub),
+    max_leaves=6,
+)
+# well-formed formulas, token soup with junk, and formulas with junk spliced in
+_formula_texts = (
+    _formulas
+    | st.lists(st.sampled_from(_FORMULA_TOKENS) | st.text(max_size=2), max_size=10).map("".join)
+    | st.tuples(_formulas, st.text(max_size=2), _formulas).map("".join)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["parse", "check", "countermodel", "interpolate"]),
+    logic=st.sampled_from(["S4", "S4.2", "G(Int,1,1)", "G(KC,w,2)"]),
+    first=_formula_texts, second=_formula_texts, fmt=st.sampled_from(["text", "json"]),
+)
+def test_formula_text_never_gives_a_traceback(command, logic, first, second, fmt):
+    argv = {
+        "parse": ["parse", first],
+        "check": ["check", "--logic", logic, "--time-budget", "1", first],
+        "countermodel": ["countermodel", "--logic", logic, "--max-worlds", "2", first],
+        "interpolate": ["interpolate", "--logic", logic, "--time-budget", "1", first, second],
+    }[command]
+    assert _quiet_main(["--format", fmt, *argv]) in (0, 1, 2, 3)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+_world_ids = st.sampled_from(["a", "b", "c"])
+_model_objects = st.fixed_dictionaries(
+    {
+        "worlds": st.just(["a", "b", "c"]) | st.lists(_world_ids, max_size=3) | _json_values,
+        "order": st.lists(st.lists(_world_ids, min_size=2, max_size=2), max_size=6)
+        | _json_values,
+        "closure": st.sampled_from(["auto", "strict"]) | _json_values,
+    },
+    optional={
+        "valuation": st.dictionaries(st.sampled_from(["p", "q"]),
+                                     st.lists(_world_ids, max_size=3) | _json_values,
+                                     max_size=2),
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_model_objects | _json_values, fmt=st.sampled_from(["text", "json"]))
+def test_refine_model_files_never_give_a_traceback(tmp_path_factory, model, fmt):
+    folder = tmp_path_factory.mktemp("refine")
+    (folder / "m.json").write_text(json.dumps(model), encoding="utf-8")
+    (folder / "sigma.txt").write_text("[]p\np\n", encoding="utf-8")
+    argv = ["--format", fmt, "refine", str(folder / "m.json"), "--sigma",
+            str(folder / "sigma.txt"), "--m", "1", "--n", "1"]
+    assert _quiet_main(argv) in (0, 1, 2, 3)
 
 
 def test_smorynski_command(capsys, tmp_path):
@@ -320,6 +429,14 @@ GOLDEN_CHECK = {
 GOLDEN_SMORYNSKI_S42_P_Q_SHA256 = (
     "47af98d57c0095d19a9e78d61fabd17405dfe1010743dbc994f4309025060b5a"
 )
+# sha256 of `check --format json --logic S4` on the frame formula of a cluster
+# frame of 11 points: the witness is the frame itself, whose world ids sort
+# g0, g1, g10, g2, ..., away from the frame's point order
+GOLDEN_CLUSTER_WITNESS_SHA256 = {
+    ("--cluster", "11"): "f13446822c1b1a753a6e099c1761accc1d9f90e03bc9f9f01b693a18a0337710",
+    ("--cluster", "10", "--topped"):
+        "287f23f90d67979d2a8c33b53e1598db460d03ecfe17432ab3d4e3689d23ef20",
+}
 
 
 # sha256 of the JSON and the text stdout of `refine` on each committed bench
@@ -461,6 +578,12 @@ def test_witness_output_is_pinned(capsys, tmp_path):
                        "--sigma2", str(tmp_path / "q.txt"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SMORYNSKI_S42_P_Q_SHA256
+    for args, expected in GOLDEN_CLUSTER_WITNESS_SHA256.items():
+        code, formula, _ = run(capsys, "frame-formula", *args)
+        assert code == 0
+        code, out, _ = run(capsys, "--format", "json", "check", "--logic", "S4", formula.strip())
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, args
 
 
 # Inputs whose first countermodel in the frame-table order is pinned: hits

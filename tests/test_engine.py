@@ -9,10 +9,10 @@ from gammalog.engine import (
     base_models, catalog, countermodel_search, equivalent, find_interpolant,
     _candidate_stream, in_frame_class, parse_logic, sat, valid,
 )
-from gammalog.frame_formulas import OMEGA, gamma
+from gammalog.frame_formulas import OMEGA, frame_formula, gamma
 from gammalog.kripke import satisfies, select
 from gammalog.syntax import (
-    SignedClosure, Top, atoms, parse, pretty, sorted_formulas,
+    And, Box, Implies, Not, SignedClosure, Top, atoms, conj, parse, pretty, sorted_formulas,
 )
 from engine_reference import candidate_stream_reference
 
@@ -127,6 +127,25 @@ def test_sat_never_caches_unknown(monkeypatch):
 
 
 # --- valid ----------------------------------------------------------------------
+
+def test_frame_formula_matcher_reads_back_every_small_rooted_frame():
+    # the satisfied form of each frame formula names its frame; with its
+    # last item dropped or contradicted, or an item of group (iii) repeated,
+    # it is no frame formula
+    from gammalog.suites import _labeled_rooted_frames
+
+    for frame in _labeled_rooted_frames(3):
+        items = engine._flatten(frame_formula(frame).sub, And)
+        names = [f"p{i}" for i in range(frame.size)]
+        assert engine._match_frame_conjunction(conj(items)) == (frame, names)
+        left, right = items[-1].sub.left, items[-1].sub.right
+        flipped = right.sub if isinstance(right, Not) else Not(right)
+        bad = [items[:-1], items + [Box(Implies(left, flipped))]]
+        if frame.size > 1:
+            bad.append(items + [items[2]])
+        for variant in bad:
+            assert engine._match_frame_conjunction(conj(variant)) is None
+
 
 def test_valid_t_axiom():
     assert isinstance(valid(parse("[]p -> p"), S4), Valid)

@@ -17,6 +17,7 @@ from gammalog.kripke import (
 from gammalog.syntax import (
     FALSE, TRUE, And, Atom, Box, Diamond, FormulaError, Not, Top, atoms, parse, pretty,
 )
+from engine_reference import labeled_preorders
 from frame_formulas_reference import relative_satisfaction_witness_reference
 from kripke_reference import model_check_reference
 
@@ -31,18 +32,18 @@ def total(worlds):
 
 def test_cluster_frame_shapes():
     c1 = cluster_frame(1, False)
-    assert c1.size == 1 and c1.rel == {(0, 0)}
+    assert c1.size == 1 and c1.succ == (0b1,)
     c2t = cluster_frame(2, True)
     assert c2t.size == 3
-    assert c2t.rel == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (0, 2), (1, 2)}
-    assert len(cluster_frame(3, False).rel) == 9
+    assert c2t.succ == (0b111, 0b111, 0b100)
+    assert cluster_frame(3, False).succ == (0b111,) * 3
     with pytest.raises(FormulaError):
         cluster_frame(0, False)
 
 
 def test_rooted_frame_validation():
     with pytest.raises(Exception):
-        RootedFrame(2, frozenset({(0, 0), (1, 1)}))  # 0 does not reach 1
+        RootedFrame((0b01, 0b10))  # 0 does not reach 1
 
 
 # --- frame formulas -----------------------------------------------------------
@@ -84,7 +85,7 @@ def test_natural_model_refutes_frame_formula():
 
 def test_frame_formula_rejects_unrooted():
     with pytest.raises(Exception):
-        frame_formula(RootedFrame(2, frozenset({(0, 0), (1, 1)})))
+        frame_formula(RootedFrame((0b01, 0b10)))
 
 
 def test_gamma():
@@ -127,11 +128,28 @@ def test_substitution_commutes_with_model_checking(case):
     model, args = case
     chi = parse("[](p0 -> <>p1) & (p1 | ~p0)")
     direct = model_check(model, substitute(chi, args))
-    revalued = PreorderModel(model.worlds, model.order, {
+    revalued = PreorderModel.from_masks(model.worlds, model.masks, {
         "p0": model_check(model, args[0]),
         "p1": model_check(model, args[1]),
     })
     assert direct == model_check(revalued, chi)
+
+
+def test_labeled_rooted_frames_keep_the_pair_list_order():
+    # criterion 1's targets: every rooted preorder of at most 3 points, by
+    # size and then by sorted pair list, as the pair-set build gave them
+    from gammalog.suites import _labeled_rooted_frames
+
+    expected = sorted(
+        (n, sorted(rel)) for n in (1, 2, 3) for rel in labeled_preorders(n)
+        if all((0, i) in rel for i in range(n))
+    )
+    frames = [
+        (frame.size, sorted((a, b) for a, row in enumerate(frame.succ)
+                            for b in range(frame.size) if row >> b & 1))
+        for frame in _labeled_rooted_frames(3)
+    ]
+    assert frames == expected and len(frames) == 10
 
 
 def test_criterion1_pool_substitutions_match_the_reference_semantics():

@@ -19,13 +19,13 @@ from hypothesis import given, settings, strategies as st
 from gammalog import engine, kripke
 from gammalog.engine import (
     ALL_LOGICS, BudgetExceeded, _Deadline, canonical_frames, countermodel_search,
-    in_frame_class, labeled_preorders, parse_logic,
+    in_frame_class, parse_logic,
 )
 from gammalog.kripke import PreorderModel, cluster_sizes, eval_on_frame, is_confluent
 from gammalog.syntax import And, Atom, Box, Diamond, Iff, Implies, Not, Or, FALSE, TRUE, parse
 from engine_reference import (
     canonical_frames_reference, fingerprint_reference, fingerprint_zoo_reference,
-    frame_walk_reference, in_frame_class_reference, labeled_posets_reference,
+    frame_walk_reference, in_frame_class_reference, labeled_posets_reference, labeled_preorders,
 )
 from kripke_reference import cluster_sizes_reference, is_confluent_reference
 

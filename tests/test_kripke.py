@@ -1,4 +1,6 @@
+import collections
 import itertools
+import json
 import logging
 import os
 import pathlib
@@ -10,16 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 import gammalog
 from gammalog import kripke
-from gammalog.frame_formulas import cluster_frame
+from gammalog.frame_formulas import RootedFrame, cluster_frame
 from gammalog.kripke import (
-    ModelError, PMorphism, PreorderModel, clusters, cluster_sizes, dump_model,
-    eval_valuations, find_p_morphism, frame_shape, generated_submodel, is_confluent,
-    load_model, model_check, model_from_dict, model_from_masks,
+    ModelError, PMorphism, PreorderModel, check_rooted_frame, clusters, cluster_sizes,
+    eval_valuations, find_p_morphism, generated_submodel, is_confluent,
+    load_model, model_check, model_from_dict, model_from_masks, model_to_dict,
 )
 from gammalog.syntax import Atom, Box, parse
+from engine_reference import canonical_frames_reference, labeled_preorders
 from kripke_reference import (
-    clusters_reference, frame_shape_reference, model_check_reference,
-    preorder_defect_reference, reflexive_transitive_closure,
+    clusters_reference, frame_shape_reference, model_check_reference, order_pairs,
+    p_morphism_defect_reference, preorder_defect_reference, reflexive_transitive_closure,
 )
 
 
@@ -82,7 +85,7 @@ _SEVERAL_DEFECTS = [
 
 def _built(build):
     try:
-        return build().order
+        return order_pairs(build())
     except ModelError as exc:
         return str(exc)
 
@@ -162,7 +165,7 @@ def _edge_deletions(draw):
     model = PreorderModel(worlds, rel, {"p": worlds[:1]}, closure="auto")
     cluster = sorted(draw(st.sampled_from(clusters(model).clusters)))
     inside = [(a, b) for a in cluster for b in cluster]
-    pool = draw(st.sampled_from([inside, sorted(model.order)]))
+    pool = draw(st.sampled_from([inside, sorted(order_pairs(model))]))
     return model, draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
 
 
@@ -170,7 +173,7 @@ def _edge_deletions(draw):
 @given(_edge_deletions())
 def test_without_edges_agrees_with_a_strict_rebuild(case):
     model, removed = case
-    rebuilt = _built(lambda: PreorderModel(model.worlds, model.order - removed, model.valuation))
+    rebuilt = _built(lambda: PreorderModel(model.worlds, order_pairs(model) - removed, model.valuation))
     assert _built(lambda: model.without_edges(removed)) == rebuilt
     if not isinstance(rebuilt, str):
         assert model.without_edges(removed) == PreorderModel(model.worlds, rebuilt, model.valuation)
@@ -185,15 +188,13 @@ def test_without_edges_rejects_edges_it_lacks():
 
 
 def test_successors_match_the_order_on_every_four_world_preorder():
-    from gammalog.engine import labeled_preorders
-
     worlds = ["w0", "w1", "w2", "w3"]
     count = 0
     for rel in labeled_preorders(4):
         order = {(worlds[a], worlds[b]) for a, b in rel}
         for closure in ("strict", "auto"):
             m = PreorderModel(worlds, order, {}, closure=closure)
-            assert m.order == order
+            assert order_pairs(m) == order
             for w in worlds:
                 assert m.successors(w) == {b for a, b in order if a == w}
         count += 1
@@ -258,8 +259,6 @@ def _same_view(model):
 
 
 def test_clusters_match_the_reference_on_every_four_world_preorder():
-    from gammalog.engine import labeled_preorders
-
     worlds = ["w0", "w1", "w2", "w3"]
     count = 0
     for rel in labeled_preorders(4):
@@ -372,45 +371,22 @@ def test_p_morphism_three_cluster_onto_two_cluster_exists():
 def test_p_morphism_malformed_target():
     m = PreorderModel(["a"], [("a", "a")], {})
 
-    class Bad:
-        size = 2
-        rel = frozenset({(0, 0), (1, 1)})  # not rooted
-
     with pytest.raises(ModelError):
-        find_p_morphism(m, "a", Bad())
+        find_p_morphism(m, "a", RootedFrame((0b01, 0b10)))  # not rooted
 
 
-def test_frame_shape_checks_every_call_and_takes_unhashable_relations():
-    class Bad:
-        size = 2
-        rel = frozenset({(0, 0), (1, 1)})  # not rooted
-
-    for _ in range(2):
-        with pytest.raises(ModelError, match="not rooted"):
-            frame_shape(Bad())
-
-    class Listed:
-        size = "2"
-        rel = [["0", "0"], ["0", "1"], ["1", "1"]]
-
-    assert frame_shape(Listed()) == (2, frozenset({(0, 0), (0, 1), (1, 1)}))
-
-
-def test_frame_shape_decides_like_the_pair_set_reference():
-    # every relation on at most 3 points; a target that is no preorder is
-    # named by the strict validation's first defect
-    class Frame:
-        def __init__(self, size, rel):
-            self.size, self.rel = size, rel
-
+def test_check_rooted_frame_decides_like_the_pair_set_reference():
+    # every relation on at most 3 points, as successor masks; a target that
+    # is no preorder is named by the strict validation's first defect
     count = 0
     for size in (1, 2, 3):
         pairs = list(itertools.product(range(size), repeat=2))
         for bits in range(1 << len(pairs)):
             rel = frozenset(pair for i, pair in enumerate(pairs) if bits >> i & 1)
+            succ = tuple(sum(1 << b for a2, b in rel if a2 == a) for a in range(size))
             expected = frame_shape_reference(size, rel)
             try:
-                assert frame_shape(Frame(size, rel)) == (size, rel)
+                check_rooted_frame(succ)
                 decision = "ok"
             except ModelError as exc:
                 decision = "not rooted" if "not rooted" in str(exc) else "rejected"
@@ -419,13 +395,47 @@ def test_frame_shape_decides_like_the_pair_set_reference():
             assert decision == expected, (size, sorted(rel))
             count += 1
     assert count == 530
+    for succ, message in [
+        ((), "target frame must be nonempty"),
+        ((0b11, 0b110), "target frame rows must be masks over 2 points"),
+        ((0b11, -1), "target frame rows must be masks over 2 points"),
+    ]:
+        with pytest.raises(ModelError) as info:
+            check_rooted_frame(succ)
+        assert str(info.value) == message
+
+
+def test_p_morphism_defect_matches_the_pair_set_reference():
+    # every map from every generated submodel of every canonical frame of at
+    # most 3 worlds onto every rooted frame of at most 3 points
+    targets = [
+        (n, rel) for n in (1, 2, 3) for rel in labeled_preorders(n)
+        if all((0, i) in rel for i in range(n))
+    ]
+    kinds = collections.Counter()
+    for k in (1, 2, 3):
+        for frame in canonical_frames_reference(k):
+            model = PreorderModel([f"w{i}" for i in range(k)],
+                                  [(f"w{a}", f"w{b}") for a, b in frame], {})
+            for sub in {generated_submodel(model, w) for w in model.worlds}:
+                for n, rel in targets:
+                    succ = tuple(sum(1 << b for a2, b in rel if a2 == a) for a in range(n))
+                    for image in itertools.product(range(n), repeat=len(sub.worlds)):
+                        mapping = dict(zip(sub.worlds, image))
+                        expected = p_morphism_defect_reference(sub, n, rel, mapping)
+                        assert kripke._p_morphism_defect(sub, succ, mapping) == expected
+                        kinds[expected and expected.split(" at ")[0]] += 1
+    assert kinds == {
+        None: 70, "p-morphism is not surjective": 1666, "p-morphism not monotone": 184,
+        "back condition fails": 76,
+    }
 
 
 def test_validate_names_the_first_failed_condition():
     # a two-chain a <= b onto the two-chain 0 <= 1, broken one way at a time
     chain = PreorderModel(["a", "b"], [("a", "b")], {}, closure="auto")
-    rel = frozenset({(0, 0), (0, 1), (1, 1)})
-    PMorphism(chain, 2, rel, {"a": 0, "b": 1}).validate()
+    target = (0b11, 0b10)
+    PMorphism(chain, target, {"a": 0, "b": 1}).validate()
     broken = [
         ({"a": 0}, "p-morphism is not total on the source"),
         ({"a": 0, "b": 0}, "p-morphism is not surjective"),
@@ -433,12 +443,12 @@ def test_validate_names_the_first_failed_condition():
     ]
     for mapping, message in broken:
         with pytest.raises(ModelError) as info:
-            PMorphism(chain, 2, rel, mapping).validate()
+            PMorphism(chain, target, mapping).validate()
         assert str(info.value) == message
     # a and b apart, onto the two-chain: 0 sees 1 but a sees no world at 1
     apart = PreorderModel(["a", "b"], [("a", "a"), ("b", "b")], {})
     with pytest.raises(ModelError) as info:
-        PMorphism(apart, 2, rel, {"a": 0, "b": 1}).validate()
+        PMorphism(apart, target, {"a": 0, "b": 1}).validate()
     assert str(info.value) == "back condition fails at a for 1"
 
 
@@ -495,6 +505,9 @@ def test_box_persistence(model, f):
 def test_generated_submodel_truth_invariance(model, f):
     x = model.worlds[0]
     sub = generated_submodel(model, x)
+    keep = model.successors(x)
+    assert sub == PreorderModel(keep, [(a, b) for a in keep for b in model.successors(a)],
+                                {atom: ext & keep for atom, ext in model.valuation.items()})
     inner = model_check(sub, f)
     outer = model_check(model, f)
     for y in sub.worlds:
@@ -508,7 +521,7 @@ def test_json_roundtrip(tmp_path):
         ["a", "b"], [("a", "b")], {"p": ["b"], "q": []}, closure="auto"
     )
     path = tmp_path / "model.json"
-    dump_model(m, str(path))
+    path.write_text(json.dumps(model_to_dict(m)), encoding="utf-8")
     again = load_model(str(path))
     assert again == m
 
@@ -540,7 +553,7 @@ def test_eval_valuations_matches_the_reference_semantics_across_chunks(monkeypat
     valuations += [{"p0": 0b101}, {"p1": 0b11}, {}, {"p0": 63, "r": 1}]
     expected = []
     for valuation in valuations:
-        revalued = PreorderModel(model.worlds, model.order, {
+        revalued = PreorderModel.from_masks(model.worlds, model.masks, {
             atom: [w for i, w in enumerate(worlds) if mask >> i & 1]
             for atom, mask in valuation.items()
         })

@@ -18,6 +18,7 @@ from gammalog.syntax import (
     Atom, Box, Diamond, Implies, Not, Or, And, boolean_subformula_closure, closure_letters,
     parse, pretty, sorted_formulas, subformula_closure, to_core,
 )
+from kripke_reference import order_pairs
 
 INPUTS = pathlib.Path(__file__).parents[1] / "perfbench" / "inputs"
 
@@ -162,7 +163,7 @@ def test_refine_model_minimal_first_and_locality():
     assert all(s == 1 for s in finals + nonfinals)
     assert is_confluent(refined.masks)
     # locality: removed edges stay inside the refined clusters
-    removed = m.order - refined.order
+    removed = order_pairs(m) - order_pairs(refined)
     view = clusters(m)
     for a, b in removed:
         assert view.cluster_of[a] == view.cluster_of[b]
@@ -225,20 +226,29 @@ def test_refine_model_termination_measure():
     assert len(steps) == 3
 
 
-def test_refine_model_never_builds_the_order_view(monkeypatch):
-    # the 196-world S4 model of (p, q) takes 36 steps at (2, 2); every step
-    # reads and edits the successor masks, never the pairs of ``order``
-    model = load_model(INPUTS / "s4_p_q.json")
-    lines = (INPUTS / "s4_p_q.sigma").read_text(encoding="utf-8").splitlines()
-    sigma = subformula_closure(to_core(parse(line)) for line in lines if line.strip())
-    built = []
-    view = PreorderModel.order
-    monkeypatch.setattr(PreorderModel, "order", property(lambda m: built.append(m) or view.fget(m)))
-    steps = []
-    refined = refine_model(model, sigma, sigma, 2, 2, step_log=steps)
-    assert len(steps) == 36 and built == []
-    finals, nonfinals = cluster_sizes(refined.masks)
-    assert max(finals + nonfinals) <= 2
+def test_refinement_problems_name_each_defect():
+    # criterion 4's verifier, on the (1, 1) refinement of a 2-cluster {a, b}
+    # below c, p true everywhere: the refinement keeps b below a below c
+    from gammalog.suites import _refinement_problems
+
+    m = PreorderModel(list("abc"), total("ab") + [("a", "c"), ("b", "c")], {"p": list("abc")},
+                      closure="auto")
+    refined = refine_model(m, SIGMA_P, SIGMA_P, 1, 1)
+    before = {f: model_check(m, f) for f in sorted_formulas(SIGMA_P)}
+    assert _refinement_problems(m, refined, before, 1, 1) == []
+    val = refined.valuation
+    cases = [
+        # c sees b: the closure makes one cluster, with edges m lacks
+        (PreorderModel(refined.worlds, order_pairs(refined) | {("c", "b")}, val, closure="auto"),
+         ["final cluster bound violated", "edges added"]),
+        (refined.without_edges([("a", "c"), ("b", "c")]), ["edge removed outside a cluster"]),
+        (PreorderModel.from_masks(refined.worlds, refined.masks, {"p": ["a", "b"]}),
+         ["extension changed: p"]),
+        (PreorderModel.from_masks(["a", "b", "d"], refined.masks, {"p": ["a", "b", "d"]}),
+         ["worlds changed"]),
+    ]
+    for bad, problems in cases:
+        assert _refinement_problems(m, bad, before, 1, 1) == problems
 
 
 def _outcome(refine_fn, model, sigma1, sigma2, m, n):
