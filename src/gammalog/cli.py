@@ -185,8 +185,10 @@ def _read_formula_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read formula file: {exc}") from exc
+    except OSError as exc:
+        raise _UsageError(f"cannot read formula file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read formula file {path}: {exc}") from exc
     stripped = (line.split("#", 1)[0].strip() for line in lines)
     return [_formula(line) for line in stripped if line]
 
@@ -311,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--time-budget", type=float, default=None,
                        help="wall-clock limit in seconds for each engine call, "
                             "checked during model enumeration (default 30); a call "
-                            "past it answers Unknown, exit 3. It does not bound "
-                            "the whole command")
+                            "past it answers Unknown, exit 3. interpolate is "
+                            "bounded as a whole: its candidate search checks the "
+                            "limit before each candidate")
 
     p = sub.add_parser("parse", help="parse and reprint a formula")
     p.add_argument("formula")

@@ -30,6 +30,12 @@ method that is sound for the whole frame class:
    evaluator on that one model. ``TypeSpace.mask`` runs the same evaluator
    core with no frame (``kripke.eval_propositional``), over all letter
    assignments at once, box letters as leaves.
+4. Interpolant search. ``find_interpolant`` tests its candidates with
+   ``refuted``, a refutation sound for the class made of layers 1 and 2
+   alone: the frame-formula match in the logic, or the base-logic
+   elimination. The elimination depends only on confluence, so one cached
+   run in S4 or S4.2 answers all nine logics of a family, and a rejected
+   candidate costs no witness model, refinement or enumeration.
 
 Frame properties read successor masks: ``in_frame_class`` takes a model's
 ``masks``, and a cluster is the worlds of one row, final when the row's
@@ -956,16 +962,41 @@ def _fingerprint_zoo(names: Sequence[str]) -> list[tuple]:
     ]
 
 
+def refuted(f: Formula, logic: LogicId, budget: Budget) -> bool:
+    """Whether f is unsatisfiable in the logic, without a countermodel for
+    the satisfiable case.
+
+    ``sat`` answers Unsatisfiable from two methods only: the frame-formula
+    match in the logic and the base-logic elimination, which depends on
+    nothing but confluence. So f is refuted exactly when the match in the
+    logic gives Unsatisfiable or the base logic (S4 for Int, S4.2 for KC)
+    does: a match that fails in the base logic fails in every logic of its
+    family, whose class lies inside the base class. The base-logic verdict
+    is cached once for all nine logics of a family, and a satisfiable f
+    gets neither cluster refinement nor model enumeration.
+    """
+    if _frame_formula_sat(f, logic) is UNSAT:
+        return True
+    base = _ALIAS_LOGICS["S4.2" if logic.confluent else "S4"]
+    return isinstance(sat(f, base, budget), Unsatisfiable)
+
+
 def find_interpolant(
     f1: Formula, f2: Formula, logic: LogicId, budget: Optional[Budget] = None
 ):
     """Craig interpolant for f1 -> f2 in the logic, by candidate enumeration.
 
     Valid implications always have an interpolant in these logics, so with
-    enough budget the enumeration terminates; candidates are tried in
-    canonical order and both implications are re-verified before returning.
+    enough budget the enumeration terminates. Candidates are tried in
+    canonical order; a candidate is dropped as a duplicate, and accepted as
+    an interpolant, only when ``refuted`` holds, which it does exactly when
+    ``valid`` would answer Valid, and which shares each base-logic
+    elimination among the nine logics of a family. Only the outer
+    implication runs a full ``valid``, for its countermodel. The time
+    budget bounds the whole search: it is checked before each candidate.
     """
     budget = budget or Budget()
+    deadline = _Deadline(budget.max_seconds)
     outer = valid(Implies(f1, f2), logic, budget)
     if isinstance(outer, Invalid):
         return NotValid(outer.model, outer.world)
@@ -979,17 +1010,19 @@ def find_interpolant(
     for chi in _candidate_stream(shared, budget.max_candidates * 4):
         if tried >= budget.max_candidates:
             break
+        try:
+            deadline.check("interpolant search")
+        except BudgetExceeded as exc:
+            return Unknown(f"{exc.reason}, after {tried} candidates tried")
         print_key = _fingerprint(chi, zoo)
         bucket = seen.setdefault(print_key, [])
-        if any(equivalent(chi, other, logic, budget) for other in bucket):
+        if any(refuted(Not(Iff(chi, other)), logic, budget) for other in bucket):
             continue
         bucket.append(chi)
         tried += 1
-        left = valid(Implies(f1, chi), logic, budget)
-        if not isinstance(left, Valid):
+        if not refuted(Not(Implies(f1, chi)), logic, budget):
             continue
-        right = valid(Implies(chi, f2), logic, budget)
-        if not isinstance(right, Valid):
+        if not refuted(Not(Implies(chi, f2)), logic, budget):
             continue
         if not atoms(chi) <= set(shared):
             raise LogicError(f"candidate {pretty(chi)} leaves the shared vocabulary")

@@ -18,15 +18,21 @@ re-checking each hit on a validated model with that reference class test.
 over ``fingerprint_zoo_reference``.
 ``candidate_stream_reference`` builds each interpolant candidate wave by
 filtering every size layer built so far by node count.
+``find_interpolant_reference`` is the interpolant search that tests each
+candidate with full ``valid`` and ``equivalent`` calls in the logic itself,
+as ``engine.find_interpolant`` did before it tested them by refutation.
 """
 
 import itertools
 from functools import lru_cache
 
 from gammalog import kripke
-from gammalog.engine import preorders, size_layer
+from gammalog.engine import (
+    Budget, Interpolant, Invalid, NotValid, Unknown, Valid, _candidate_stream, _fingerprint,
+    _fingerprint_zoo, equivalent, preorders, size_layer, valid,
+)
 from gammalog.kripke import PreorderModel, eval_on_frame, model_from_masks, select
-from gammalog.syntax import FALSE, TRUE, Atom, Box, atoms, node_count, sort_key
+from gammalog.syntax import FALSE, TRUE, Atom, Box, Implies, atoms, node_count, sort_key
 from kripke_reference import cluster_sizes_reference, is_confluent_reference
 
 
@@ -169,3 +175,32 @@ def candidate_stream_reference(names, max_candidates):
             if emitted >= max_candidates:
                 return
         previous = wave_cap
+
+
+def find_interpolant_reference(f1, f2, logic, budget=None):
+    budget = budget or Budget()
+    outer = valid(Implies(f1, f2), logic, budget)
+    if isinstance(outer, Invalid):
+        return NotValid(outer.model, outer.world)
+    if isinstance(outer, Unknown):
+        return Unknown(f"implication undecided: {outer.reason}")
+    shared = sorted(atoms(f1) & atoms(f2))
+    zoo = _fingerprint_zoo(shared)
+    seen = {}
+    tried = 0
+    for chi in _candidate_stream(shared, budget.max_candidates * 4):
+        if tried >= budget.max_candidates:
+            break
+        bucket = seen.setdefault(_fingerprint(chi, zoo), [])
+        if any(equivalent(chi, other, logic, budget) for other in bucket):
+            continue
+        bucket.append(chi)
+        tried += 1
+        if not isinstance(valid(Implies(f1, chi), logic, budget), Valid):
+            continue
+        if not isinstance(valid(Implies(chi, f2), logic, budget), Valid):
+            continue
+        return Interpolant(chi)
+    return Unknown(
+        f"no interpolant found among {tried} candidates (cap {budget.max_candidates})"
+    )

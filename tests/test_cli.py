@@ -624,6 +624,47 @@ def test_countermodel_output_is_pinned(capsys):
     assert digest.hexdigest() == GOLDEN_COUNTERMODEL_SHA256
 
 
+# The interpolation pairs of the decide benchmark (perfbench/workloads.py):
+# interpolants in the first six, countermodels in the next five, and the
+# slow S4.2-family pair last.
+INTERPOLATE_PIN_PAIRS = [
+    ("p & q", "p | r"), ("[](p & q)", "[]p"), ("[]p & []q", "[](p & q)"),
+    ("<>(p | q)", "<>p | <>q"), ("[](p -> q) & []p", "[]q"), ("p & []q", "<>p | r"),
+    ("p", "q"), ("p", "[]p"), ("<>p", "p"), ("[](p | q)", "[]p | []q"),
+    ("<>p & <>q", "<>(p & q)"),
+]
+INTERPOLATE_PIN_CASES = [
+    (logic, premise, conclusion)
+    for logic in ("G(Int,2,2)", "G(KC,2,1)", "G(Int,1,1)", "G(KC,w,w)")
+    for premise, conclusion in INTERPOLATE_PIN_PAIRS
+] + [("G(KC,2,2)", "<>[]p & <>[]q", "<>[](p & q)")]
+GOLDEN_INTERPOLATE_SHA256 = "76aadc932b7a7e2b5f4e9813c6323c582dfe55d241232fbc783bb97f0d625797"
+
+
+def test_interpolate_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    codes = set()
+    for logic, premise, conclusion in INTERPOLATE_PIN_CASES:
+        code, out, _ = run(capsys, "--format", "json", "interpolate", "--logic", logic,
+                           premise, conclusion)
+        digest.update(f"{code}\n{out}".encode())
+        codes.add(code)
+    assert codes == {0, 1}
+    assert digest.hexdigest() == GOLDEN_INTERPOLATE_SHA256
+
+
+def test_formula_file_errors_name_the_file(capsys, tmp_path):
+    (tmp_path / "a.txt").write_text("p\n")
+    (tmp_path / "b.txt").write_bytes("\u00e9 q\n".encode("latin-1"))
+    for sigma2 in ("b.txt", "missing.txt"):
+        path = str(tmp_path / sigma2)
+        code, out, err = run(capsys, "smorynski", "--logic", "S4",
+                             "--sigma1", str(tmp_path / "a.txt"), "--sigma2", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read formula file {path}: "), err
+        assert "a.txt" not in err and err.count(path) == 1
+
+
 @pytest.mark.parametrize("command", ["check", "countermodel"])
 def test_countermodel_roundtrip_mismatch_exits_unknown(capsys, monkeypatch, command):
     from gammalog import kripke

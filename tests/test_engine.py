@@ -1,4 +1,6 @@
 import itertools
+import re
+import time
 
 import pytest
 
@@ -7,12 +9,13 @@ from gammalog.engine import (
     ALL_LOGICS, Budget, Interpolant, Invalid, LogicError,
     LogicId, NotValid, Satisfiable, TypeSpace, Unknown, Unsatisfiable, Valid,
     base_models, catalog, countermodel_search, equivalent, find_interpolant,
-    _candidate_stream, in_frame_class, parse_logic, sat, valid,
+    _candidate_stream, in_frame_class, parse_logic, refuted, sat, valid,
 )
 from gammalog.frame_formulas import OMEGA, frame_formula, gamma
 from gammalog.kripke import satisfies, select
 from gammalog.syntax import (
-    And, Box, Implies, Not, SignedClosure, Top, atoms, conj, parse, pretty, sorted_formulas,
+    And, Box, Iff, Implies, Not, SignedClosure, Top, atoms, conj, parse, pretty,
+    sorted_formulas,
 )
 from engine_reference import candidate_stream_reference
 
@@ -252,20 +255,36 @@ def test_interpolant_gamma_axiom():
 
 def test_interpolant_fingerprints_four_shared_atoms(monkeypatch):
     # p, q and u are shared: fingerprinting only p and q leaves every
-    # candidate that differs in u in one bucket, tried with `equivalent`
-    # against all others there (10,765 calls; 834 with u fingerprinted too)
-    calls = []
+    # candidate that differs in u in one bucket, refuted as a duplicate of
+    # all others there (10,765 tests; 834 with u fingerprinted too)
+    dedupes = []
 
-    def counted(*args):
-        calls.append(args)
-        return equivalent(*args)
+    def counted(f, *args):
+        if isinstance(f, Not) and isinstance(f.sub, Iff):
+            dedupes.append(f)
+        return refuted(f, *args)
 
-    monkeypatch.setattr(engine, "equivalent", counted)
+    monkeypatch.setattr(engine, "refuted", counted)
     result = find_interpolant(parse("[]p & <>q & u"), parse("<>(p & q) & (u | v)"),
                               parse_logic("G(Int,2,2)"))
     assert isinstance(result, Interpolant)
     assert pretty(result.formula) == "u & <>(p & q)"
-    assert len(calls) < 2_000
+    assert len(dedupes) < 2_000
+
+
+def test_interpolant_search_keeps_its_time_budget():
+    # with empty caches this search takes about 0.3-0.5 s; the budget
+    # bounds the whole call, checked before each candidate
+    engine._SAT_CACHE.clear()
+    budget = Budget(max_seconds=0.05)
+    start = time.monotonic()
+    result = find_interpolant(parse("[]p & <>q & u"), parse("<>(p & q) & (u | v)"),
+                              parse_logic("G(Int,2,2)"), budget)
+    elapsed = time.monotonic() - start
+    assert isinstance(result, Unknown), result
+    assert re.fullmatch(r"time budget exceeded during interpolant search, "
+                        r"after \d+ candidates tried", result.reason), result.reason
+    assert elapsed < budget.max_seconds + 0.5
 
 
 # --- catalog ----------------------------------------------------------------------------

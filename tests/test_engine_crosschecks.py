@@ -3,6 +3,8 @@
 The structural cluster-formula analysis, the type-elimination core and
 bounded enumeration are separate decision methods; these tests force them
 to agree on families where more than one of them is conclusive. The
+interpolant search, which tests candidates by refutation alone, is checked
+against the search that makes full ``valid`` and ``equivalent`` calls. The
 one Kripke evaluator ``kripke.eval_on_frame`` (behind ``model_check``,
 the bounded search and the interpolant fingerprints) is checked on one
 copy against the set-based reference semantics in ``kripke_reference``,
@@ -12,18 +14,23 @@ copies against one copy at a time.
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gammalog import engine
 from gammalog.engine import (
-    ALL_LOGICS, Budget, Invalid, Satisfiable, Unsatisfiable, Valid,
-    countermodel_search, eval_on_frame, in_frame_class, parse_logic, sat, valid,
+    ALL_LOGICS, Budget, Interpolant, Invalid, NotValid, Satisfiable, Unsatisfiable, Valid,
+    countermodel_search, eval_on_frame, find_interpolant, in_frame_class, parse_logic,
+    refuted, sat, valid,
 )
 from gammalog.frame_formulas import OMEGA, gamma
-from gammalog.kripke import PreorderModel, model_check, model_from_masks, satisfies, select
-from gammalog.syntax import (
-    FALSE, TRUE, And, Atom, Box, Diamond, Iff, Implies, Not, Or, parse, pretty,
+from gammalog.kripke import (
+    PreorderModel, model_check, model_from_masks, model_to_dict, satisfies, select,
 )
+from gammalog.suites import _INVALID_CORPUS, _valid_corpus
+from gammalog.syntax import (
+    FALSE, TRUE, And, Atom, Box, Diamond, Iff, Implies, Not, Or, node_count, parse, pretty,
+)
+from engine_reference import find_interpolant_reference
 from kripke_reference import model_check_reference
 
 S4 = parse_logic("S4")
@@ -75,6 +82,55 @@ def test_structural_path_agrees_with_elimination_on_unbounded_logics():
                 engine._match_frame_conjunction = original
                 engine._SAT_CACHE.clear()
             assert type(with_matcher) is type(without_matcher), (pretty(axiom), str(logic))
+
+
+def _outcome(result):
+    if isinstance(result, Interpolant):
+        return "interpolant", pretty(result.formula)
+    if isinstance(result, NotValid):
+        return "not-valid", result.world, model_to_dict(result.model)
+    return "unknown", result.reason
+
+
+def test_interpolant_search_agrees_with_the_valid_and_equivalent_reference():
+    # criterion 6's corpus in all 18 logics: refutation accepts and drops
+    # exactly the candidates that full valid and equivalent calls do
+    budget = Budget(max_seconds=30.0)
+    for logic in ALL_LOGICS:
+        pairs = _valid_corpus(logic) + _INVALID_CORPUS
+        if logic.lam == "Int":
+            pairs.append((parse("<>[]p"), parse("[]<>p")))
+        for f1, f2 in pairs:
+            got = find_interpolant(f1, f2, logic, budget)
+            want = find_interpolant_reference(f1, f2, logic, budget)
+            assert _outcome(got) == _outcome(want), (str(logic), pretty(f1), pretty(f2))
+
+
+_small_formulas = st.recursive(
+    st.sampled_from([Atom("p"), Atom("q"), TRUE, FALSE]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Box, sub), st.builds(Diamond, sub),
+        st.builds(And, sub, sub), st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub), st.builds(Iff, sub, sub),
+    ),
+    max_leaves=4,
+).filter(lambda f: node_count(f) <= 7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_small_formulas)
+@example(f=parse("<>[]p -> []<>p"))  # valid in the KC family only
+@example(f=parse("[]<>p -> <>[]p"))  # valid for m = 1, which sat leaves Unknown
+def test_refuted_holds_exactly_when_valid(f):
+    # enumeration never answers Valid, so a small world bound changes no
+    # Valid verdict and keeps the bounded logics' searches short
+    budget = Budget(max_worlds=3)
+    for logic in ALL_LOGICS:
+        engine._SAT_CACHE.clear()
+        answer = refuted(Not(f), logic, budget)
+        engine._SAT_CACHE.clear()
+        assert answer == isinstance(valid(f, logic, budget), Valid), (pretty(f), str(logic))
+    engine._SAT_CACHE.clear()
 
 
 def test_s42_sat_implies_s4_sat_on_two_atom_samples():
